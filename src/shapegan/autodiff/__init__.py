@@ -15,7 +15,6 @@ from .ops import (
     concat_channels,
     detach,
     div,
-    elementwise_mul,
     exp,
     l2_norm_per_row,
     leaky_relu,
@@ -54,7 +53,6 @@ __all__ = [
     "conv_transpose2d",
     "detach",
     "div",
-    "elementwise_mul",
     "exp",
     "is_recording",
     "l2_norm_per_row",

@@ -13,7 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from ..errors import ConfigurationError, NumericError, UsageError
-from .tensor import Tensor, is_recording
+from .tensor import Tensor, _fresh, is_recording
 
 
 def as_tensor(x) -> Tensor:
@@ -21,16 +21,6 @@ def as_tensor(x) -> Tensor:
     if isinstance(x, Tensor):
         return x
     return Tensor(np.asarray(x, dtype=np.float64))
-
-
-def _fresh(arr: np.ndarray) -> Tensor:
-    # Construct without re-running the constructor's finite check.
-    t = object.__new__(Tensor)
-    t.data = arr
-    t.parents = ()
-    t.vjp = None
-    t.requires_grad = False
-    return t
 
 
 def _result(op: str, data, inputs: tuple[Tensor, ...]) -> tuple[Tensor, bool]:
@@ -105,9 +95,6 @@ def mul(a, b) -> Tensor:
             return (ga, gb)
         out.vjp = vjp
     return out
-
-
-elementwise_mul = mul
 
 
 def scalar_mul(x, c: float) -> Tensor:
@@ -421,22 +408,3 @@ def channel_slice(x, start: int, stop: int) -> Tensor:
 
 def detach(x) -> Tensor:
     return as_tensor(x).detach()
-
-
-# ---------------------------------------------------------------------------
-# operator sugar on Tensor
-
-def _install_operators() -> None:
-    Tensor.__add__ = lambda self, other: add(self, other)
-    Tensor.__radd__ = lambda self, other: add(other, self)
-    Tensor.__sub__ = lambda self, other: sub(self, other)
-    Tensor.__rsub__ = lambda self, other: sub(other, self)
-    Tensor.__mul__ = lambda self, other: mul(self, other)
-    Tensor.__rmul__ = lambda self, other: mul(other, self)
-    Tensor.__truediv__ = lambda self, other: div(self, other)
-    Tensor.__rtruediv__ = lambda self, other: div(other, self)
-    Tensor.__neg__ = lambda self: neg(self)
-    Tensor.__matmul__ = lambda self, other: matmul(self, other)
-
-
-_install_operators()

@@ -2,11 +2,9 @@
 
 from __future__ import annotations
 
-from typing import Iterator, Mapping
-
 import numpy as np
 
-from ..errors import ConfigurationError, UsageError
+from ..errors import UsageError
 from .tensor import Tensor
 
 
@@ -31,14 +29,8 @@ class ParamSet:
     def __getitem__(self, key: str) -> Tensor:
         return self._tensors[key]
 
-    def __contains__(self, key: str) -> bool:
-        return key in self._tensors
-
     def __len__(self) -> int:
         return len(self._tensors)
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._tensors)
 
     def names(self) -> list[str]:
         return list(self._tensors)
@@ -52,21 +44,3 @@ class ParamSet:
     def snapshot(self) -> dict[str, np.ndarray]:
         """Copies of all parameter buffers."""
         return {k: t.data.copy() for k, t in self._tensors.items()}
-
-    def load(self, mapping: Mapping[str, np.ndarray]) -> None:
-        """Overwrite parameter buffers in place from ``mapping``."""
-        if set(mapping) != set(self._tensors):
-            missing = set(self._tensors) - set(mapping)
-            extra = set(mapping) - set(self._tensors)
-            raise ConfigurationError(
-                f"parameter names mismatch for {self.name}:"
-                f" missing={sorted(missing)} extra={sorted(extra)}"
-            )
-        for key, t in self._tensors.items():
-            src = np.asarray(mapping[key], dtype=np.float64)
-            if src.shape != t.data.shape:
-                raise ConfigurationError(
-                    f"shape mismatch for {self.name}/{key}:"
-                    f" {src.shape} vs {t.data.shape}"
-                )
-            np.copyto(t.data, src)

@@ -26,22 +26,17 @@ def is_recording() -> bool:
 
 
 @contextmanager
-def no_grad():
-    """Disable tape recording inside the block (forward-only evaluation)."""
-    _GRAD_MODE.append(False)
-    try:
-        yield
-    finally:
-        _GRAD_MODE.pop()
-
-
-@contextmanager
 def _grad_mode(enabled: bool):
     _GRAD_MODE.append(enabled)
     try:
         yield
     finally:
         _GRAD_MODE.pop()
+
+
+def no_grad():
+    """Disable tape recording inside the block (forward-only evaluation)."""
+    return _grad_mode(False)
 
 
 class Tensor:
@@ -85,16 +80,21 @@ class Tensor:
 
     def detach(self) -> "Tensor":
         """Constant view of this value, cut off from the tape."""
-        t = object.__new__(Tensor)
-        t.data = self.data
-        t.parents = ()
-        t.vjp = None
-        t.requires_grad = False
-        return t
+        return _fresh(self.data)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.data.shape}{flag})"
+
+
+def _fresh(arr: np.ndarray) -> Tensor:
+    # Construct without re-running the constructor's finite check.
+    t = object.__new__(Tensor)
+    t.data = arr
+    t.parents = ()
+    t.vjp = None
+    t.requires_grad = False
+    return t
 
 
 def variable(data) -> Tensor:

@@ -41,13 +41,6 @@ class CheckpointBlob:
     config_text: str
     rng_state: dict
 
-    def clone(self) -> "CheckpointBlob":
-        return CheckpointBlob(
-            {k: v.copy() for k, v in self.tensors.items()},
-            self.config_text,
-            json.loads(json.dumps(self.rng_state)),
-        )
-
 
 def _rng_to_text(state: dict) -> str:
     return json.dumps(state, sort_keys=True, default=int)
@@ -99,6 +92,12 @@ class _Reader:
     def u32(self, what: str) -> int:
         return struct.unpack("<I", self.take(4, what))[0]
 
+    def text(self, n: int, what: str) -> str:
+        try:
+            return self.take(n, what).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{self.path}: {what} is not UTF-8: {exc}") from None
+
 
 def load_checkpoint(path) -> CheckpointBlob:
     path = Path(path)
@@ -118,21 +117,28 @@ def load_checkpoint(path) -> CheckpointBlob:
     tensors: dict[str, np.ndarray] = {}
     for i in range(count):
         name_len = r.u32(f"tensor {i} name length")
-        name = r.take(name_len, f"tensor {i} name").decode("utf-8")
+        name = r.text(name_len, f"tensor {i} name")
         rank = r.u32(f"tensor {name} rank")
         dims = struct.unpack(f"<{rank}Q", r.take(8 * rank, f"tensor {name} dims"))
         n_items = 1
         for d in dims:
             n_items *= d
         raw = r.take(8 * n_items, f"tensor {name} data")
-        arr = np.frombuffer(raw, dtype="<f8").reshape(dims).copy()
+        try:
+            arr = np.frombuffer(raw, dtype="<f8").reshape(dims).copy()
+        except ValueError as exc:
+            raise DataError(f"{path}: tensor {name} dims {dims}: {exc}") from None
         if name in tensors:
             raise DataError(f"{path}: duplicate tensor name {name!r}")
         tensors[name] = arr
     cfg_len = r.u32("config length")
-    config_text = r.take(cfg_len, "config block").decode("utf-8")
+    config_text = r.text(cfg_len, "config block")
     rng_len = r.u32("rng length")
-    rng_state = json.loads(r.take(rng_len, "rng block").decode("utf-8"))
+    rng_text = r.text(rng_len, "rng block")
+    try:
+        rng_state = json.loads(rng_text)
+    except ValueError as exc:
+        raise DataError(f"{path}: rng block is not JSON: {exc}") from None
     if r.pos != len(buf):
         raise DataError(f"{path}: {len(buf) - r.pos} trailing bytes after checkpoint")
     return CheckpointBlob(tensors, config_text, rng_state)

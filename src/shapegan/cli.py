@@ -85,21 +85,19 @@ def _build_parser() -> argparse.ArgumentParser:
     i.add_argument("--alphas", default="0.25,0.5,0.75,1")
     i.add_argument("--out", required=True)
 
-    e = sub.add_parser("eval", help="score a checkpoint on a dataset")
-    e.add_argument("--ckpt", required=True)
-    e.add_argument("--data", required=True)
-    e.add_argument("--out", required=True, help="report CSV path")
-    e.add_argument("--ablation", default=None, help="optional no-shape checkpoint")
-    e.add_argument("--seed", type=int, default=0)
-    e.add_argument("--alpha", type=float, default=1.0)
-
-    r = sub.add_parser("report", help="full-vs-ablation comparison table")
-    r.add_argument("--ckpt", required=True)
-    r.add_argument("--ablation", required=True)
-    r.add_argument("--data", required=True)
-    r.add_argument("--out", required=True, help="report CSV path")
-    r.add_argument("--seed", type=int, default=0)
-    r.add_argument("--alpha", type=float, default=1.0)
+    # report is eval with the ablation checkpoint required
+    for name, help_text, needs_ablation in (
+        ("eval", "score a checkpoint on a dataset", False),
+        ("report", "full-vs-ablation comparison table", True),
+    ):
+        e = sub.add_parser(name, help=help_text)
+        e.add_argument("--ckpt", required=True)
+        e.add_argument("--data", required=True)
+        e.add_argument("--out", required=True, help="report CSV path")
+        e.add_argument("--ablation", required=needs_ablation, default=None,
+                       help="no-shape checkpoint to compare against")
+        e.add_argument("--seed", type=int, default=0)
+        e.add_argument("--alpha", type=float, default=1.0)
 
     c = sub.add_parser("grad-check", help="finite-difference gradient checks")
     c.add_argument("--level", choices=("quick", "full"), default="quick")
@@ -251,9 +249,7 @@ def main(argv=None) -> int:
             return _cmd_train(args)
         if args.command == "interpolate":
             return _cmd_interpolate(args)
-        if args.command == "eval":
-            return _cmd_eval(args)
-        if args.command == "report":
+        if args.command in ("eval", "report"):
             return _cmd_eval(args)
         if args.command == "grad-check":
             return _cmd_grad_check(args)

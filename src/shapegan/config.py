@@ -11,7 +11,6 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .errors import ConfigurationError
-from .objectives import LossWeights
 
 SHAPE_REFERENCES = ("prediction", "ground_truth")
 
@@ -72,11 +71,6 @@ class TrainConfig:
                 f"shape_reference must be one of {SHAPE_REFERENCES},"
                 f" got {self.shape_reference!r}"
             )
-
-    @property
-    def loss_weights(self) -> LossWeights:
-        return LossWeights(self.lambda_adv, self.lambda_rec, self.lambda_shape,
-                           self.lambda_gp)
 
     def to_text(self) -> str:
         lines = []

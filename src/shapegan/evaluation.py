@@ -117,22 +117,6 @@ def _paired_eval_batches(
     return dataset.images[src_idx], dataset.images[rolled], dataset.masks[src_idx]
 
 
-def shape_preservation_score(
-    nets: NetBundle,
-    dataset: Dataset,
-    source_domain: int,
-    target_domain: int,
-    alpha: float = 1.0,
-) -> tuple[float, float]:
-    """Mean and std of set-Dice between translated-image masks (mask net,
-    binarized at 0.5) and the ground-truth masks of the sources."""
-    src, tgt, gt = _paired_eval_batches(dataset, source_domain, target_domain)
-    translated = translate_batch(nets, src, tgt, alpha)
-    pred = predict_masks(nets, translated)
-    scores = [set_dice(pred[i], gt[i]) for i in range(pred.shape[0])]
-    return float(np.mean(scores)), float(np.std(scores))
-
-
 def mask_quality_score(nets: NetBundle, dataset: Dataset) -> float:
     """Mean set-Dice of the mask net on untranslated eval images.
 
@@ -253,24 +237,6 @@ def train_quality_classifier(
     return clf, acc
 
 
-def classify_translated(
-    nets: NetBundle,
-    classifier: SmallClassifier,
-    dataset: Dataset,
-    source_domain: int,
-    target_domain: int,
-    alpha: float = 1.0,
-) -> tuple[float, float]:
-    """(fraction classified as target domain, mean target-class probability)
-    over the paired eval split translated at ``alpha``."""
-    src, tgt, _ = _paired_eval_batches(dataset, source_domain, target_domain)
-    translated = np.clip(translate_batch(nets, src, tgt, alpha), 0.0, 1.0)
-    probs = classifier.probabilities(translated)
-    target_class = dataset.domain_ids.index(target_domain)
-    rate = float(np.mean(np.argmax(probs, axis=1) == target_class))
-    return rate, float(np.mean(probs[:, target_class]))
-
-
 # ---------------------------------------------------------------------------
 # report
 
@@ -282,6 +248,38 @@ class PairScores:
     mean_target_prob: float
     dice_mean: float
     dice_std: float
+
+
+def score_pair(
+    nets: NetBundle,
+    classifier: SmallClassifier,
+    dataset: Dataset,
+    source_domain: int,
+    target_domain: int,
+    alpha: float = 1.0,
+) -> PairScores:
+    """Transfer and shape scores of one ordered domain pair.
+
+    The paired eval split is translated once at ``alpha``. The classifier
+    scores the translation clipped to [0, 1] (fraction classified as the
+    target domain, mean target-class probability); the mask net segments
+    the unclipped translation, and its masks are compared with the sources'
+    ground truth by set-Dice (mean and std).
+    """
+    src, tgt, gt = _paired_eval_batches(dataset, source_domain, target_domain)
+    translated = translate_batch(nets, src, tgt, alpha)
+    probs = classifier.probabilities(np.clip(translated, 0.0, 1.0))
+    target_class = dataset.domain_ids.index(target_domain)
+    pred = predict_masks(nets, translated)
+    dice = [set_dice(pred[i], gt[i]) for i in range(pred.shape[0])]
+    return PairScores(
+        source_domain,
+        target_domain,
+        translated_rate=float(np.mean(np.argmax(probs, axis=1) == target_class)),
+        mean_target_prob=float(np.mean(probs[:, target_class])),
+        dice_mean=float(np.mean(dice)),
+        dice_std=float(np.std(dice)),
+    )
 
 
 @dataclass
@@ -357,15 +355,12 @@ def build_report(
     no-shape ablation when given) and assemble the report."""
 
     def pair_scores(state: NetBundle) -> list[PairScores]:
-        rows = []
-        for s in dataset.domain_ids:
-            for t in dataset.domain_ids:
-                if s == t:
-                    continue
-                rate, prob = classify_translated(state, classifier, dataset, s, t, alpha)
-                dm, ds = shape_preservation_score(state, dataset, s, t, alpha)
-                rows.append(PairScores(s, t, rate, prob, dm, ds))
-        return rows
+        return [
+            score_pair(state, classifier, dataset, s, t, alpha)
+            for s in dataset.domain_ids
+            for t in dataset.domain_ids
+            if s != t
+        ]
 
     return EvalReport(
         classifier_accuracy=classifier_accuracy,

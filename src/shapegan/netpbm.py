@@ -17,38 +17,33 @@ from .errors import DataError, UsageError
 _WHITESPACE = b" \t\r\n\x0b\x0c"
 
 
-def _quantize(values: np.ndarray) -> np.ndarray:
-    return np.rint(values * 255.0).astype(np.uint8)
-
-
-def _check_range(arr: np.ndarray) -> None:
-    if arr.min() < 0.0 or arr.max() > 1.0:
-        raise UsageError("image values must lie in [0, 1] for writing")
+_MAGIC = {3: b"P6", 1: b"P5"}
 
 
 def write_ppm(path, image: np.ndarray) -> None:
     """Write a (3, H, W) float image as binary PPM (P6, maxval 255)."""
-    image = np.asarray(image, dtype=np.float64)
-    if image.ndim != 3 or image.shape[0] != 3:
-        raise UsageError(f"write_ppm expects (3, H, W), got {image.shape}")
-    _check_range(image)
-    _, h, w = image.shape
-    payload = _quantize(image).transpose(1, 2, 0).tobytes()
-    with open(path, "wb") as f:
-        f.write(b"P6\n%d %d\n255\n" % (w, h))
-        f.write(payload)
+    _write(path, image, 3)
 
 
 def write_pgm(path, mask: np.ndarray) -> None:
     """Write a (1, H, W) float mask as binary PGM (P5, maxval 255)."""
-    mask = np.asarray(mask, dtype=np.float64)
-    if mask.ndim != 3 or mask.shape[0] != 1:
-        raise UsageError(f"write_pgm expects (1, H, W), got {mask.shape}")
-    _check_range(mask)
-    _, h, w = mask.shape
+    _write(path, mask, 1)
+
+
+def _write(path, array, channels: int) -> None:
+    array = np.asarray(array, dtype=np.float64)
+    if array.ndim != 3 or array.shape[0] != channels:
+        raise UsageError(
+            f"{_MAGIC[channels].decode()} writer expects ({channels}, H, W),"
+            f" got {array.shape}"
+        )
+    if array.min() < 0.0 or array.max() > 1.0:
+        raise UsageError("image values must lie in [0, 1] for writing")
+    _, h, w = array.shape
+    payload = np.rint(array * 255.0).astype(np.uint8).transpose(1, 2, 0).tobytes()
     with open(path, "wb") as f:
-        f.write(b"P5\n%d %d\n255\n" % (w, h))
-        f.write(_quantize(mask[0]).tobytes())
+        f.write(b"%s\n%d %d\n255\n" % (_MAGIC[channels], w, h))
+        f.write(payload)
 
 
 class _Parser:
@@ -101,7 +96,8 @@ class _Parser:
         return np.frombuffer(data, dtype=np.uint8)
 
 
-def _read(path) -> tuple[bytes, np.ndarray, int, int]:
+def _read(path) -> tuple[bytes, np.ndarray]:
+    """The file's magic and its raster as a (C, H, W) float array in [0, 1]."""
     try:
         buf = Path(path).read_bytes()
     except OSError as exc:
@@ -119,40 +115,35 @@ def _read(path) -> tuple[bytes, np.ndarray, int, int]:
     if maxval != 255:
         p.error(f"unsupported maxval {maxval}")
     channels = 3 if magic == b"P6" else 1
-    raw = p.payload(w * h * channels)
-    return magic, raw, w, h
+    raw = p.payload(w * h * channels).reshape(h, w, channels)
+    return magic, raw.transpose(2, 0, 1).astype(np.float64) / 255.0
+
+
+def _read_as(path, magic: bytes) -> np.ndarray:
+    found, image = _read(path)
+    if found != magic:
+        raise DataError(f"{path}: expected {magic.decode()}, found {found.decode()}")
+    return image
 
 
 def read_ppm(path) -> np.ndarray:
     """Read a binary PPM into a (3, H, W) float array in [0, 1]."""
-    magic, raw, w, h = _read(path)
-    if magic != b"P6":
-        raise DataError(f"{path}: expected P6, found {magic.decode()}")
-    return raw.reshape(h, w, 3).transpose(2, 0, 1).astype(np.float64) / 255.0
+    return _read_as(path, b"P6")
 
 
 def read_pgm(path) -> np.ndarray:
     """Read a binary PGM into a (1, H, W) float array in [0, 1]."""
-    magic, raw, w, h = _read(path)
-    if magic != b"P5":
-        raise DataError(f"{path}: expected P5, found {magic.decode()}")
-    return raw.reshape(1, h, w).astype(np.float64) / 255.0
+    return _read_as(path, b"P5")
 
 
 def read_image(path) -> np.ndarray:
     """Dispatch on file magic: returns (3, H, W) or (1, H, W)."""
-    magic, raw, w, h = _read(path)
-    if magic == b"P6":
-        return raw.reshape(h, w, 3).transpose(2, 0, 1).astype(np.float64) / 255.0
-    return raw.reshape(1, h, w).astype(np.float64) / 255.0
+    return _read(path)[1]
 
 
 def write_image(path, array: np.ndarray) -> None:
     """Dispatch on channel count: 3 channels -> PPM, 1 channel -> PGM."""
     array = np.asarray(array)
-    if array.ndim != 3 or array.shape[0] not in (1, 3):
+    if array.ndim != 3 or array.shape[0] not in _MAGIC:
         raise UsageError(f"write_image expects (1|3, H, W), got {array.shape}")
-    if array.shape[0] == 3:
-        write_ppm(path, array)
-    else:
-        write_pgm(path, array)
+    _write(path, array, array.shape[0])

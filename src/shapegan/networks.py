@@ -10,7 +10,6 @@ unbounded. Weights are He-initialized from a seeded generator, biases zero.
 from __future__ import annotations
 
 import math
-from typing import Sequence
 
 import numpy as np
 
@@ -95,13 +94,6 @@ class Encoder:
         h = ad.leaky_relu(_conv(images, self.params, "conv0", 2, 1), LEAK)
         return _conv(h, self.params, "conv1", 2, 1)
 
-    def describe(self) -> tuple[dict, ...]:
-        return (
-            {"kind": "conv", "in": self.in_channels, "out": self.widths[0],
-             "k": 3, "stride": 2, "act": "leaky_relu"},
-            {"kind": "conv", "in": self.widths[0], "out": self.widths[1],
-             "k": 3, "stride": 2, "act": None},
-        )
 
 
 class Decoder:
@@ -137,17 +129,6 @@ class Decoder:
         h = ad.leaky_relu(_conv(h, self.params, "conv1", 1, 1), LEAK)
         return ad.sigmoid(_conv(h, self.params, "conv_out", 1, 1))
 
-    def describe(self) -> tuple[dict, ...]:
-        return (
-            {"kind": "upsample2x"},
-            {"kind": "conv", "in": FEATURE_CHANNELS, "out": self.widths[0],
-             "k": 3, "stride": 1, "act": "leaky_relu"},
-            {"kind": "upsample2x"},
-            {"kind": "conv", "in": self.widths[0], "out": self.widths[1],
-             "k": 3, "stride": 1, "act": "leaky_relu"},
-            {"kind": "conv", "in": self.widths[1], "out": self.out_channels,
-             "k": 3, "stride": 1, "act": "sigmoid"},
-        )
 
 
 class Interpolator:
@@ -177,13 +158,6 @@ class Interpolator:
         h = ad.leaky_relu(_conv(diff, self.params, "conv0", 1, 1), LEAK)
         return _conv(h, self.params, "conv1", 1, 1)
 
-    def describe(self) -> tuple[dict, ...]:
-        return (
-            {"kind": "conv", "in": self.channels, "out": self.channels,
-             "k": 3, "stride": 1, "act": "leaky_relu"},
-            {"kind": "conv", "in": self.channels, "out": self.channels,
-             "k": 3, "stride": 1, "act": None},
-        )
 
 
 class Critic:
@@ -229,14 +203,6 @@ class Critic:
                 h = ad.leaky_relu(h, LEAK)
         return h
 
-    def describe(self) -> tuple[dict, ...]:
-        dims = [self.in_features, *self.hidden, 1]
-        layers: list[dict] = [{"kind": "flatten"}]
-        for i in range(len(dims) - 1):
-            act = "leaky_relu" if i < len(dims) - 2 else None
-            layers.append({"kind": "linear", "in": dims[i], "out": dims[i + 1],
-                           "act": act})
-        return tuple(layers)
 
 
 class MaskNet:
@@ -268,7 +234,7 @@ class MaskNet:
         _add_conv(ps, rng, "out", w1, 1, 1)
         return cls(ps, in_channels, widths)
 
-    def __call__(self, images: Tensor, use_skips: bool = True) -> Tensor:
+    def __call__(self, images: Tensor) -> Tensor:
         if images.ndim != 4 or images.shape[1] != self.in_channels:
             raise ConfigurationError(
                 f"mask net expects (N, {self.in_channels}, S, S), got {images.shape}"
@@ -282,66 +248,13 @@ class MaskNet:
         e1 = ad.leaky_relu(_conv(e0, ps, "enc1", 2, 1), LEAK)
         e2 = ad.leaky_relu(_conv(e1, ps, "enc2", 2, 1), LEAK)
 
-        def skip(t: Tensor) -> Tensor:
-            return t if use_skips else ad.as_tensor(np.zeros(t.shape))
-
         u1 = ad.leaky_relu(_conv(ad.nearest_upsample2x(e2), ps, "dec1a", 1, 1), LEAK)
-        u1 = ad.concat_channels([u1, skip(e1)])
+        u1 = ad.concat_channels([u1, e1])
         u1 = ad.leaky_relu(_conv(u1, ps, "dec1b", 1, 1), LEAK)
         u0 = ad.leaky_relu(_conv(ad.nearest_upsample2x(u1), ps, "dec0a", 1, 1), LEAK)
-        u0 = ad.concat_channels([u0, skip(e0)])
+        u0 = ad.concat_channels([u0, e0])
         u0 = ad.leaky_relu(_conv(u0, ps, "dec0b", 1, 1), LEAK)
         return ad.sigmoid(_conv(u0, ps, "out", 1, 0))
-
-    def describe(self) -> tuple[dict, ...]:
-        w1, w2, w3 = self.widths
-        return (
-            {"kind": "conv", "in": self.in_channels, "out": w1, "k": 3,
-             "stride": 1, "act": "leaky_relu"},
-            {"kind": "conv", "in": w1, "out": w2, "k": 3, "stride": 2,
-             "act": "leaky_relu"},
-            {"kind": "conv", "in": w2, "out": w3, "k": 3, "stride": 2,
-             "act": "leaky_relu"},
-            {"kind": "upsample2x"},
-            {"kind": "conv", "in": w3, "out": w2, "k": 3, "stride": 1,
-             "act": "leaky_relu"},
-            {"kind": "concat_skip", "with": "enc1"},
-            {"kind": "conv", "in": 2 * w2, "out": w2, "k": 3, "stride": 1,
-             "act": "leaky_relu"},
-            {"kind": "upsample2x"},
-            {"kind": "conv", "in": w2, "out": w1, "k": 3, "stride": 1,
-             "act": "leaky_relu"},
-            {"kind": "concat_skip", "with": "enc0"},
-            {"kind": "conv", "in": 2 * w1, "out": w1, "k": 3, "stride": 1,
-             "act": "leaky_relu"},
-            {"kind": "conv", "in": w1, "out": 1, "k": 1, "stride": 1,
-             "act": "sigmoid"},
-        )
-
-
-_BUILDERS = {
-    "encoder": Encoder.build,
-    "decoder": Decoder.build,
-    "interpolator": Interpolator.build,
-    "critic": Critic.build,
-    "unet": MaskNet.build,
-}
-
-
-def build_network(kind: str, seed: int = 0, **kwargs):
-    """Construct one of the five networks by kind name."""
-    try:
-        builder = _BUILDERS[kind]
-    except KeyError:
-        raise UsageError(
-            f"unknown network kind {kind!r}; expected one of {sorted(_BUILDERS)}"
-        ) from None
-    return builder(seed=seed, **kwargs)
-
-
-def init_params(kind: str, seed: int = 0, **kwargs) -> ParamSet:
-    """Freshly initialized parameters for a network kind (deterministic in seed)."""
-    return build_network(kind, seed=seed, **kwargs).params
 
 
 def _alpha_tensor(alpha, batch: int, ndim: int) -> Tensor:

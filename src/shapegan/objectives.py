@@ -19,21 +19,6 @@ from .errors import ConfigurationError, UsageError
 
 
 @dataclass(frozen=True)
-class LossWeights:
-    """Relative weights of the generator-side terms plus the penalty weight."""
-
-    lambda_adv: float = 1.0
-    lambda_rec: float = 10.0
-    lambda_shape: float = 1.0
-    lambda_gp: float = 10.0
-
-    def __post_init__(self):
-        for name in ("lambda_adv", "lambda_rec", "lambda_shape", "lambda_gp"):
-            if getattr(self, name) < 0.0:
-                raise ConfigurationError(f"{name} must be non-negative")
-
-
-@dataclass(frozen=True)
 class FeatureBatchPair:
     """Equal-sized real/fake feature batches scored by the critic."""
 

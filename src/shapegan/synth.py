@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -119,24 +120,11 @@ def rasterize_mask(spec: ShapeSpec, size: int) -> np.ndarray:
     return (dist <= r_req).astype(np.float64)[None]
 
 
-def _base_fill(rng, color, noise=0.015):
+def _render_plain(rng, mask2d, dist, r_req, size, color=(0.13, 0.52, 0.14)):
     base = np.asarray(color) + rng.uniform(-0.03, 0.03, size=3)
-    return base, noise
-
-
-def _render_plain(rng, mask2d, dist, r_req, size):
-    base, noise = _base_fill(rng, (0.13, 0.52, 0.14))
     img = np.empty((3, size, size))
     img[:] = base[:, None, None]
-    img += rng.normal(0.0, noise, size=img.shape)
-    return img
-
-
-def _render_hue_shift(rng, mask2d, dist, r_req, size):
-    base, noise = _base_fill(rng, (0.62, 0.55, 0.10))
-    img = np.empty((3, size, size))
-    img[:] = base[:, None, None]
-    img += rng.normal(0.0, noise, size=img.shape)
+    img += rng.normal(0.0, 0.015, size=img.shape)
     return img
 
 
@@ -167,7 +155,7 @@ def _render_edge_darkening(rng, mask2d, dist, r_req, size):
 
 _RENDERERS = {
     "plain": _render_plain,
-    "hue_shift": _render_hue_shift,
+    "hue_shift": partial(_render_plain, color=(0.62, 0.55, 0.10)),
     "spots": _render_spots,
     "edge_darkening": _render_edge_darkening,
 }

@@ -14,7 +14,7 @@ and a resumed run continues the interrupted one exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -24,8 +24,9 @@ from . import autodiff as ad
 from .autodiff import AdamState, adam_step, backward, no_grad
 from .checkpoint import CheckpointBlob, load_checkpoint, save_checkpoint
 from .config import TrainConfig, parse_config_text
-from .errors import ConfigurationError, NumericError, TrainingAborted
+from .errors import ConfigurationError, DataError, NumericError, TrainingAborted
 from .networks import (
+    FEATURE_CHANNELS,
     Critic,
     Decoder,
     Encoder,
@@ -109,6 +110,22 @@ def build_adam(config: TrainConfig, nets: NetBundle) -> dict[str, AdamState]:
 # ---------------------------------------------------------------------------
 # individual steps
 
+def _update(
+    loss: ad.Tensor,
+    nets: NetBundle,
+    adam: dict[str, AdamState],
+    names: Sequence[str],
+) -> None:
+    """Backpropagate ``loss`` to the named networks and take one Adam step on
+    each; every other network stays bitwise untouched."""
+    param_sets = [getattr(nets, name).params for name in names]
+    grads = backward(loss, [t for ps in param_sets for t in ps.tensors()])
+    off = 0
+    for name, ps in zip(names, param_sets):
+        adam_step(ps, grads[off : off + len(ps)], adam[name])
+        off += len(ps)
+
+
 def critic_step(
     batch_x: np.ndarray,
     batch_y: np.ndarray,
@@ -133,8 +150,7 @@ def critic_step(
     loss = loss_critic(
         FeatureBatchPair(fy, fake), nets.critic, eps, config.lambda_gp
     )
-    grads = backward(loss, nets.critic.params.tensors())
-    adam_step(nets.critic.params, grads, adam["critic"])
+    _update(loss, nets, adam, ("critic",))
     return loss.item()
 
 
@@ -151,14 +167,8 @@ def reconstruction_step(
     images = ad.as_tensor(batch)
     mse = loss_reconstruction(images, nets.decoder(nets.encoder(images)))
     total = ad.scalar_mul(mse, config.lambda_rec)
-    wrt = list(nets.decoder.params.tensors())
-    n_dec = len(wrt)
-    if config.recon_updates_encoder:
-        wrt += nets.encoder.params.tensors()
-    grads = backward(total, wrt)
-    adam_step(nets.decoder.params, grads[:n_dec], adam["decoder"])
-    if config.recon_updates_encoder:
-        adam_step(nets.encoder.params, grads[n_dec:], adam["encoder"])
+    names = ("decoder", "encoder") if config.recon_updates_encoder else ("decoder",)
+    _update(total, nets, adam, names)
     return mse.item()
 
 
@@ -198,18 +208,7 @@ def generator_step(
         shape = loss_shape(translated, x, nets.unet, reference)
         total = ad.add(total, ad.scalar_mul(shape, config.lambda_shape))
         shape_value = shape.item()
-
-    wrt = []
-    counts = []
-    for name in ("encoder", "interpolator", "decoder"):
-        ts = getattr(nets, name).params.tensors()
-        wrt += ts
-        counts.append(len(ts))
-    grads = backward(total, wrt)
-    off = 0
-    for name, cnt in zip(("encoder", "interpolator", "decoder"), counts):
-        adam_step(getattr(nets, name).params, grads[off : off + cnt], adam[name])
-        off += cnt
+    _update(total, nets, adam, ("encoder", "interpolator", "decoder"))
     return adv.item(), shape_value
 
 
@@ -223,57 +222,79 @@ def unet_step(
     """Supervised Dice update for the mask net only."""
     pred = nets.unet(ad.as_tensor(batch))
     loss = loss_unet_supervised(pred, ad.as_tensor(gt_masks))
-    grads = backward(loss, nets.unet.params.tensors())
-    adam_step(nets.unet.params, grads, adam["unet"])
+    _update(loss, nets, adam, ("unet",))
     return loss.item()
 
 
 # ---------------------------------------------------------------------------
 # state <-> checkpoint
 
-def state_to_blob(state: TrainerState, config: TrainConfig) -> CheckpointBlob:
-    tensors: dict[str, np.ndarray] = {}
-    for name, ps in state.nets.param_sets().items():
+def _state_arrays(nets: NetBundle, adam: dict[str, AdamState]) -> dict[str, np.ndarray]:
+    """The checkpoint's tensors in file order: the live parameter buffers and
+    Adam moments, and each network's Adam step counter as a fresh scalar."""
+    arrays: dict[str, np.ndarray] = {}
+    for name, ps in nets.param_sets().items():
         for key, t in ps.items():
-            tensors[f"{name}/{key}"] = t.data.copy()
-    for name in NET_NAMES:
-        st = state.adam[name]
-        for key in state.nets.param_sets()[name].names():
-            tensors[f"adam/{name}/{key}.m"] = st.m[key].copy()
-            tensors[f"adam/{name}/{key}.v"] = st.v[key].copy()
-        tensors[f"adam/{name}/step"] = np.array(float(st.step))
+            arrays[f"{name}/{key}"] = t.data
+    for name, ps in nets.param_sets().items():
+        st = adam[name]
+        for key in ps.names():
+            arrays[f"adam/{name}/{key}.m"] = st.m[key]
+            arrays[f"adam/{name}/{key}.v"] = st.v[key]
+        arrays[f"adam/{name}/step"] = np.array(float(st.step))
+    return arrays
+
+
+def state_to_blob(state: TrainerState, config: TrainConfig) -> CheckpointBlob:
+    tensors = {k: a.copy() for k, a in _state_arrays(state.nets, state.adam).items()}
     config_text = config.to_text() + f"{_ITERATION_KEY} = {state.iteration}\n"
-    rng_state = state.rng.bit_generator.state
-    return CheckpointBlob(tensors, config_text, rng_state)
+    return CheckpointBlob(tensors, config_text, state.rng.bit_generator.state)
 
 
 def blob_to_state(blob: CheckpointBlob) -> tuple[TrainerState, TrainConfig]:
-    mapping = parse_config_text(blob.config_text)
-    iteration = int(mapping.pop(_ITERATION_KEY, "0"))
-    config = TrainConfig.from_mapping(mapping)
+    """Rebuild the trainer state a checkpoint holds.
+
+    Content that is not a valid state (a bad config or RNG block, a
+    missing, misshapen or non-finite tensor) raises :class:`DataError`.
+    """
     try:
-        in_channels = int(blob.tensors["encoder/conv0.w"].shape[1])
-    except KeyError:
-        raise ConfigurationError("checkpoint lacks encoder parameters") from None
-    nets = build_nets(config, in_channels, config.seed)
-    for name, ps in nets.param_sets().items():
-        prefix = f"{name}/"
-        ps.load(
-            {
-                key[len(prefix):]: arr
-                for key, arr in blob.tensors.items()
-                if key.startswith(prefix) and not key.startswith("adam/")
-            }
-        )
+        mapping = parse_config_text(blob.config_text)
+        iteration = int(mapping.pop(_ITERATION_KEY, "0"))
+        config = TrainConfig.from_mapping(mapping)
+    except (ConfigurationError, ValueError) as exc:
+        raise DataError(f"checkpoint config block: {exc}") from None
+    if iteration < 0:
+        raise DataError(f"checkpoint iteration {iteration} is negative")
+    # the networks are built before their tensors are checked: first check
+    # what sizes them, the input channels and the critic's input width
+    conv0 = blob.tensors.get("encoder/conv0.w")
+    if conv0 is None or conv0.ndim != 4 or conv0.shape[1] == 0:
+        raise DataError("checkpoint lacks encoder parameters")
+    width = FEATURE_CHANNELS * (config.image_size // 4) ** 2
+    fc0 = blob.tensors.get("critic/fc0.w")
+    if fc0 is None or fc0.shape[:1] != (width,):
+        raise DataError(f"checkpoint critic does not fit image_size={config.image_size}")
+    nets = build_nets(config, int(conv0.shape[1]), config.seed)
     adam = build_adam(config, nets)
-    for name in NET_NAMES:
-        st = adam[name]
-        st.step = int(blob.tensors[f"adam/{name}/step"].reshape(())[()])
-        for key in nets.param_sets()[name].names():
-            st.m[key] = blob.tensors[f"adam/{name}/{key}.m"].copy()
-            st.v[key] = blob.tensors[f"adam/{name}/{key}.v"].copy()
+    for key, live in _state_arrays(nets, adam).items():
+        stored = blob.tensors.get(key)
+        if stored is None or stored.shape != live.shape:
+            raise DataError(f"checkpoint tensor {key!r} is missing or misshapen")
+        if not np.all(np.isfinite(stored)):
+            raise DataError(f"checkpoint tensor {key!r} holds non-finite values")
+        if key.endswith((".v", "/step")) and np.any(stored < 0.0):
+            raise DataError(f"checkpoint tensor {key!r} holds negative values")
+        np.copyto(live, stored)
+    for name, st in adam.items():
+        step = float(blob.tensors[f"adam/{name}/step"])
+        if not step.is_integer():
+            raise DataError(f"checkpoint Adam step {step!r} of {name} is not a count")
+        st.step = int(step)
     rng = np.random.Generator(np.random.PCG64(0))
-    rng.bit_generator.state = blob.rng_state
+    try:
+        rng.bit_generator.state = blob.rng_state
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise DataError(f"checkpoint RNG state is malformed: {exc!r}") from None
     return TrainerState(nets, adam, rng, iteration), config
 
 
@@ -329,8 +350,10 @@ def run_training(
     """Run (or resume) a full training; returns final state and the trace.
 
     With ``out_dir`` set, writes periodic checkpoints, a final checkpoint,
-    the resolved config, and the loss trace. A numeric error aborts with
-    :class:`TrainingAborted` after writing the last good state.
+    the resolved config, and the loss trace. A resumed run keeps the rows of
+    an existing trace up to the checkpoint's iteration and writes its own
+    after them. A numeric error aborts with :class:`TrainingAborted` after
+    writing the last good state.
     """
     if resume is not None:
         # the checkpoint's own config governs the continued run
@@ -338,9 +361,12 @@ def run_training(
     config.validate()
     domains = _validate_dataset(dataset, config)
     out = Path(out_dir) if out_dir is not None else None
+    kept_trace = ""
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
         (out / "config_resolved.txt").write_text(config.to_text())
+        if resume is not None:
+            kept_trace = _trace_up_to(out / "trace.csv", state.iteration)
 
     if resume is None:
         nets = build_nets(config, dataset.channels, config.seed)
@@ -364,7 +390,7 @@ def run_training(
         path = None
         if out is not None:
             path = save_checkpoint(out / "last_good.sgck", last_good)
-            _write_trace(out, trace_rows)
+            _write_trace(out, kept_trace, trace_rows)
         raise TrainingAborted(
             f"numeric error at iteration {iteration}: {exc}", iteration, path
         ) from exc
@@ -455,9 +481,21 @@ def run_training(
     final_path = None
     if out is not None:
         final_path = save_checkpoint(out / "final.sgck", state_to_blob(state, config))
-        _write_trace(out, trace_rows)
+        _write_trace(out, kept_trace, trace_rows)
     return TrainResult(state, trace_rows, final_path)
 
 
-def _write_trace(out: Path, rows: list[tuple]) -> None:
-    (out / "trace.csv").write_text(trace_to_text(rows))
+def _trace_up_to(path: Path, iteration: int) -> str:
+    """The lines of an existing trace whose iteration is at most ``iteration``."""
+    if not path.is_file():
+        return ""
+    kept = []
+    for line in path.read_text().splitlines(keepends=True):
+        it = line.partition(",")[0]
+        if it.isdigit() and int(it) <= iteration:
+            kept.append(line)
+    return "".join(kept)
+
+
+def _write_trace(out: Path, kept: str, rows: list[tuple]) -> None:
+    (out / "trace.csv").write_text(kept + trace_to_text(rows))

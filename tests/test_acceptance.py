@@ -18,9 +18,8 @@ from shapegan.autodiff import AdamState, adam_step, backward, no_grad
 from shapegan.checkpoint import load_checkpoint
 from shapegan.config import TrainConfig
 from shapegan.evaluation import (
-    classify_translated,
     mask_quality_score,
-    shape_preservation_score,
+    score_pair,
     train_quality_classifier,
 )
 from shapegan.networks import Critic, Interpolator, interpolate
@@ -191,21 +190,21 @@ def desk(tmp_path_factory):
 
 
 def _mean_rate(nets, clf, ds):
-    rates = [classify_translated(nets, clf, ds, s, t, 1.0)[0]
+    rates = [score_pair(nets, clf, ds, s, t, 1.0).translated_rate
              for s, t in ((0, 1), (1, 0))]
     return float(np.mean(rates))
 
 
-def _mean_dice(nets, ds):
-    dices = [shape_preservation_score(nets, ds, s, t, 1.0)[0]
+def _mean_dice(nets, clf, ds):
+    dices = [score_pair(nets, clf, ds, s, t, 1.0).dice_mean
              for s, t in ((0, 1), (1, 0))]
     return float(np.mean(dices))
 
 
 def test_6_end_to_end_attribute_transfer(desk):
     rate = _mean_rate(desk.full, desk.clf, desk.ds)
-    full_dice = _mean_dice(desk.full, desk.ds)
-    abl_dice = _mean_dice(desk.ablation, desk.ds)
+    full_dice = _mean_dice(desk.full, desk.clf, desk.ds)
+    abl_dice = _mean_dice(desk.ablation, desk.clf, desk.ds)
     margin = full_dice - abl_dice
     mask_q = mask_quality_score(desk.full, desk.ds)
     ok = (desk.acc >= 0.90 and rate >= 0.75 and margin >= 0.05

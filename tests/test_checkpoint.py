@@ -4,6 +4,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shapegan.checkpoint import (
     MAGIC,
@@ -12,7 +14,15 @@ from shapegan.checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
+from shapegan.config import TrainConfig
 from shapegan.errors import DataError
+from shapegan.trainer import (
+    TrainerState,
+    blob_to_state,
+    build_adam,
+    build_nets,
+    state_to_blob,
+)
 
 
 def sample_blob():
@@ -68,15 +78,6 @@ def test_loaded_tensors_are_writable_copies(tmp_path):
     path = save_checkpoint(tmp_path / "c.sgck", sample_blob())
     back = load_checkpoint(path)
     back.tensors["encoder/conv0.b"][0] = 99.0  # must not raise
-
-
-def test_clone_is_deep():
-    blob = sample_blob()
-    copy = blob.clone()
-    copy.tensors["encoder/conv0.b"][0] = -1.0
-    copy.rng_state["state"]["inc"] = 0
-    assert blob.tensors["encoder/conv0.b"][0] != -1.0
-    assert blob.rng_state["state"]["inc"] == 13
 
 
 def test_bad_magic(tmp_path):
@@ -145,3 +146,95 @@ def test_empty_tensor_dict_round_trips(tmp_path):
     blob = CheckpointBlob({}, "", {})
     back = load_checkpoint(save_checkpoint(tmp_path / "e.sgck", blob))
     assert back.tensors == {} and back.config_text == "" and back.rng_state == {}
+
+
+# ---------------------------------------------------------------------------
+# malformed trainer checkpoints: every one either loads or raises DataError
+
+
+@pytest.fixture(scope="module")
+def trainer_ckpt(tmp_path_factory):
+    """Paths of a real trainer checkpoint at the smallest image size and of
+    a scratch file for its mutated copies. Paths, not bytes: a failure
+    report prints the test's arguments."""
+    cfg = TrainConfig(image_size=16, batch_size=2)
+    nets = build_nets(cfg, 3, cfg.seed)
+    state = TrainerState(nets, build_adam(cfg, nets), np.random.default_rng(1), 0)
+    root = tmp_path_factory.mktemp("fuzz")
+    pristine = save_checkpoint(root / "c.sgck", state_to_blob(state, cfg))
+    return pristine, root / "mutated.sgck"
+
+
+def _loads_or_data_error(path) -> bool:
+    """True when the checkpoint loads, False on DataError; anything else
+    propagates and fails the test."""
+    try:
+        blob_to_state(load_checkpoint(path))
+    except DataError:
+        return False
+    return True
+
+
+def _rng_block_start(buf: bytes) -> int:
+    # the file ends with the u32 length of the RNG JSON and the JSON itself
+    for start in range(len(buf) - 4, 0, -1):
+        (n,) = struct.unpack("<I", buf[start : start + 4])
+        if start + 4 + n == len(buf) and buf[start + 4 : start + 5] == b"{":
+            return start
+    raise AssertionError("no RNG block found")
+
+
+_FUZZ = settings(max_examples=25, deadline=None)
+
+
+@_FUZZ
+@given(data=st.data())
+def test_fuzz_truncation_is_a_data_error(trainer_ckpt, data):
+    pristine, path = trainer_ckpt
+    full = pristine.read_bytes()
+    keep = data.draw(st.integers(0, len(full) - 1))
+    path.write_bytes(full[:keep])
+    assert not _loads_or_data_error(path)
+
+
+@_FUZZ
+@given(data=st.data())
+def test_fuzz_bit_flips_load_or_raise_data_error(trainer_ckpt, data):
+    pristine, path = trainer_ckpt
+    full = pristine.read_bytes()
+    # weight the structural regions (header, first names, config and RNG
+    # blocks at the end) over the bulk of float data
+    pos = data.draw(st.one_of(
+        st.integers(0, 2047),
+        st.integers(len(full) - 2048, len(full) - 1),
+        st.integers(0, len(full) - 1),
+    ))
+    bit = data.draw(st.integers(0, 7))
+    mutated = bytearray(full)
+    mutated[pos] ^= 1 << bit
+    path.write_bytes(bytes(mutated))
+    _loads_or_data_error(path)
+
+
+@_FUZZ
+@given(data=st.data(), rename=st.booleans())
+def test_fuzz_deleted_or_renamed_tensor_is_a_data_error(trainer_ckpt, data, rename):
+    pristine, path = trainer_ckpt
+    blob = load_checkpoint(pristine)
+    name = data.draw(st.sampled_from(sorted(blob.tensors)))
+    arr = blob.tensors.pop(name)
+    if rename:
+        blob.tensors[name + "~"] = arr
+    save_checkpoint(path, blob)
+    assert not _loads_or_data_error(path)
+
+
+@_FUZZ
+@given(text=st.text(max_size=40))
+def test_fuzz_corrupt_rng_json_loads_or_raises_data_error(trainer_ckpt, text):
+    pristine, path = trainer_ckpt
+    full = pristine.read_bytes()
+    start = _rng_block_start(full)
+    junk = text.encode("utf-8")
+    path.write_bytes(full[:start] + struct.pack("<I", len(junk)) + junk)
+    _loads_or_data_error(path)

@@ -122,6 +122,41 @@ class TestTrain:
         full_trace = (workspace["trained"] / "trace.csv").read_text()
         assert trace[0] == full_trace.strip().splitlines()[1]
 
+    @pytest.mark.parametrize("damage", [
+        "missing adam step", "missing adam moment", "parameter shape",
+        "parameter name", "nan parameter", "rng state", "rng json",
+        "tensor name utf-8", "config block",
+    ])
+    def test_malformed_checkpoint_exits_3(self, workspace, tmp_path, damage):
+        from shapegan.checkpoint import load_checkpoint, save_checkpoint
+
+        blob = load_checkpoint(workspace["trained"] / "ckpt_000001.sgck")
+        t = blob.tensors
+        if damage == "missing adam step":
+            del t["adam/critic/step"]
+        elif damage == "missing adam moment":
+            del t["adam/unet/out.w.v"]
+        elif damage == "parameter shape":
+            t["critic/fc0.b"] = np.zeros(3)
+        elif damage == "parameter name":
+            t["decoder/conv9.w"] = t.pop("decoder/conv0.w")
+        elif damage == "nan parameter":
+            t["encoder/conv0.b"][0] = np.nan
+        elif damage == "rng state":
+            blob.rng_state = {"bit_generator": "PCG64"}
+        elif damage == "config block":
+            blob.config_text = "not a config\n"
+        bad = save_checkpoint(tmp_path / "bad.sgck", blob)
+        raw = bad.read_bytes()
+        if damage == "rng json":
+            bad.write_bytes(raw[:-1] + b"!")  # in place of the closing brace
+        elif damage == "tensor name utf-8":
+            bad.write_bytes(raw[:16] + b"\xff" + raw[17:])  # first name byte
+        r = run_cli("train", "--data", str(workspace["data"]),
+                    "--out", str(tmp_path / "out"), "--resume", str(bad))
+        assert r.returncode == 3, r.stderr
+        assert "Traceback" not in r.stderr
+
     def test_missing_dataset_exits_3(self, workspace, tmp_path):
         r = run_cli("train", "--data", str(tmp_path / "nowhere"),
                     "--out", str(tmp_path / "out"))

@@ -97,6 +97,7 @@ def test_parse_rejects_empty_key():
     ("image_size", 12, ">= 16"),
     ("checkpoint_every", 0, "checkpoint_every"),
     ("lambda_gp", -1.0, "lambda_gp"),
+    ("lambda_rec", -1.0, "lambda_rec"),
     ("lr_critic", 0.0, "lr_critic"),
     ("adam_beta1", 1.0, "betas"),
     ("adam_beta2", -0.5, "betas"),
@@ -107,15 +108,6 @@ def test_validate_rejects(field, value, message):
     cfg = dataclasses.replace(TrainConfig(), **{field: value})
     with pytest.raises(ConfigurationError, match=message):
         cfg.validate()
-
-
-def test_loss_weights_view():
-    cfg = TrainConfig(lambda_adv=2.0, lambda_rec=3.0, lambda_shape=0.0,
-                      lambda_gp=1.0)
-    w = cfg.loss_weights
-    assert (w.lambda_adv, w.lambda_rec, w.lambda_shape, w.lambda_gp) == (
-        2.0, 3.0, 0.0, 1.0
-    )
 
 
 def test_load_config_file(tmp_path):

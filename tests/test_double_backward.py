@@ -31,7 +31,7 @@ def test_penalty_gradient_linear_critic_closed_form():
     # GP = (||w|| - 1)^2 and d GP / d w = 2 (||w|| - 1) w / ||w||.
     critic = Critic.build(3, hidden=(), seed=0)
     w0 = np.array([[2.0], [1.0], [-2.0]])  # ||w|| = 3
-    critic.params.load({"fc0.w": w0, "fc0.b": np.zeros(1)})
+    critic.params["fc0.w"].data[...] = w0
     real = np.random.default_rng(0).standard_normal((4, 3))
     fake = np.random.default_rng(1).standard_normal((4, 3))
     eps = np.random.default_rng(2).random(4)
@@ -46,7 +46,7 @@ def test_penalty_gradient_linear_critic_closed_form():
 
 def test_unit_norm_linear_critic_has_zero_penalty():
     critic = Critic.build(2, hidden=(), seed=0)
-    critic.params.load({"fc0.w": np.array([[0.6], [0.8]]), "fc0.b": np.zeros(1)})
+    critic.params["fc0.w"].data[...] = np.array([[0.6], [0.8]])
     rng = np.random.default_rng(3)
     gp = gradient_penalty(critic, rng.random((5, 2)), rng.random((5, 2)), rng.random(5))
     assert gp.item() == pytest.approx(0.0, abs=1e-12)

@@ -13,13 +13,12 @@ from shapegan.evaluation import (
     PairScores,
     SmallClassifier,
     build_report,
-    classify_translated,
     cross_entropy,
     mask_quality_score,
     predict_masks,
     render_grid,
+    score_pair,
     set_dice,
-    shape_preservation_score,
     train_quality_classifier,
     translate_batch,
     write_report,
@@ -32,6 +31,11 @@ def nets(tiny_dataset):
     from shapegan.config import TrainConfig
 
     return build_nets(TrainConfig(), tiny_dataset.channels, seed=2)
+
+
+@pytest.fixture(scope="module")
+def clf(tiny_dataset):
+    return train_quality_classifier(tiny_dataset, seed=0, steps=10, batch_size=8)[0]
 
 
 def dice_oracle(a, b):
@@ -139,11 +143,28 @@ class TestRenderGrid:
 
 
 class TestShapeScores:
-    def test_score_range_and_determinism(self, nets, tiny_dataset):
-        a = shape_preservation_score(nets, tiny_dataset, 0, 1)
-        b = shape_preservation_score(nets, tiny_dataset, 0, 1)
+    def test_score_range_and_determinism(self, nets, clf, tiny_dataset):
+        a = score_pair(nets, clf, tiny_dataset, 0, 1)
+        b = score_pair(nets, clf, tiny_dataset, 0, 1)
         assert a == b
-        assert 0.0 <= a[0] <= 1.0 and a[1] >= 0.0
+        assert 0.0 <= a.dice_mean <= 1.0 and a.dice_std >= 0.0
+
+    def test_score_pair_matches_its_definition(self, nets, clf, tiny_dataset):
+        # one translation per pair: set-Dice of the mask net on the raw
+        # translation, the classifier on the translation clipped to [0, 1]
+        from shapegan.evaluation import _paired_eval_batches
+
+        src, tgt, gt = _paired_eval_batches(tiny_dataset, 1, 0)
+        translated = translate_batch(nets, src, tgt, 0.5)
+        pred = predict_masks(nets, translated)
+        dice = [set_dice(pred[i], gt[i]) for i in range(len(gt))]
+        probs = clf.probabilities(np.clip(translated, 0.0, 1.0))
+        target = tiny_dataset.domain_ids.index(0)
+        assert score_pair(nets, clf, tiny_dataset, 1, 0, 0.5) == PairScores(
+            1, 0, float(np.mean(np.argmax(probs, axis=1) == target)),
+            float(np.mean(probs[:, target])),
+            float(np.mean(dice)), float(np.std(dice)),
+        )
 
     def test_targets_are_shape_deranged(self, tiny_dataset):
         # pairing target i+1 with source i; a same-shape pairing would let
@@ -160,19 +181,19 @@ class TestShapeScores:
         for i in range(len(gt)):
             assert not np.array_equal(gt[i], rolled_masks[i])
 
-    def test_alpha_parameter_matters(self, nets, tiny_dataset):
-        near = shape_preservation_score(nets, tiny_dataset, 0, 1, alpha=0.25)
-        far = shape_preservation_score(nets, tiny_dataset, 0, 1, alpha=1.0)
+    def test_alpha_parameter_matters(self, nets, clf, tiny_dataset):
+        near = score_pair(nets, clf, tiny_dataset, 0, 1, alpha=0.25)
+        far = score_pair(nets, clf, tiny_dataset, 0, 1, alpha=1.0)
         assert near != far  # untrained nets still move with alpha
 
-    def test_requires_eval_split(self, nets, tmp_path):
+    def test_requires_eval_split(self, nets, clf, tmp_path):
         from shapegan.synth import build_dataset, load_dataset
 
         build_dataset(tmp_path, domains=2, n_per_domain=4, size=32, seed=0,
                       paired_eval_fraction=0.0)
         ds = load_dataset(tmp_path)
         with pytest.raises(UsageError, match="no paired eval split"):
-            shape_preservation_score(nets, ds, 0, 1)
+            score_pair(nets, clf, ds, 0, 1)
         with pytest.raises(UsageError, match="no eval split"):
             mask_quality_score(nets, ds)
 
@@ -264,11 +285,10 @@ class TestQualityClassifier:
         for key in a.params.names():
             assert np.array_equal(a.params[key].data, b.params[key].data)
 
-    def test_classify_translated_outputs(self, nets, tiny_dataset):
-        clf, _ = train_quality_classifier(tiny_dataset, seed=0, steps=10,
-                                          batch_size=8)
-        rate, prob = classify_translated(nets, clf, tiny_dataset, 0, 1)
-        assert 0.0 <= rate <= 1.0 and 0.0 <= prob <= 1.0
+    def test_score_pair_classifier_outputs(self, nets, clf, tiny_dataset):
+        scores = score_pair(nets, clf, tiny_dataset, 0, 1)
+        assert 0.0 <= scores.translated_rate <= 1.0
+        assert 0.0 <= scores.mean_target_prob <= 1.0
 
 
 class TestReport:
@@ -338,6 +358,23 @@ class TestReport:
         a = build_report(nets, tiny_dataset, clf, acc)
         b = build_report(nets, tiny_dataset, clf, acc)
         assert a.to_csv() == b.to_csv()
+
+    def test_one_translation_per_pair_and_model(self, nets, clf, tiny_dataset,
+                                                 monkeypatch):
+        from shapegan import evaluation
+        from shapegan.config import TrainConfig
+
+        calls = []
+        translate = evaluation.translate_batch
+
+        def counted(*args):
+            calls.append(args)
+            return translate(*args)
+
+        monkeypatch.setattr(evaluation, "translate_batch", counted)
+        other = build_nets(TrainConfig(), tiny_dataset.channels, seed=9)
+        build_report(nets, tiny_dataset, clf, 1.0, ablation_nets=other)
+        assert len(calls) == 4  # 2 ordered pairs x (full, ablation)
 
     def test_ablation_rows_included(self, nets, tiny_dataset):
         from shapegan.config import TrainConfig

@@ -14,7 +14,6 @@ from shapegan.networks import (
     Encoder,
     Interpolator,
     MaskNet,
-    build_network,
     interpolate,
 )
 
@@ -177,57 +176,70 @@ class TestInterpolation:
             interpolate(self.fx, self.fy, 0.5, "learned")
 
 
+def _spy(monkeypatch, name):
+    """Record the outputs of every ``ad.<name>`` call the networks make."""
+    outputs = []
+    op = getattr(ad, name)
+
+    def spied(*args):
+        outputs.append(op(*args))
+        return outputs[-1]
+
+    monkeypatch.setattr(ad, name, spied)
+    return outputs
+
+
 class TestDescriptors:
-    def test_critic_structure(self):
+    """Layer structure, read off parameter shapes and the ops a forward runs."""
+
+    def test_critic_structure(self, monkeypatch):
         critic = Critic.for_feature_shape((64, 8, 8), seed=0)
-        layers = critic.describe()
-        assert layers[0] == {"kind": "flatten"}
-        dims = [(l["in"], l["out"]) for l in layers[1:]]
+        dims = [critic.params[f"fc{i}.w"].shape for i in range(3)]
         assert dims == [(4096, 512), (512, 256), (256, 1)]
-        assert layers[-1]["act"] is None  # unbounded output
-        assert all(l["act"] == "leaky_relu" for l in layers[1:-1])
+        acts = _spy(monkeypatch, "leaky_relu")
+        out = critic(ad.as_tensor(np.ones((2, 64, 8, 8))))
+        assert len(acts) == 2 and out is not acts[-1]  # unbounded output
 
-    def test_encoder_structure(self):
-        layers = Encoder.build(3, 32, seed=0).describe()
-        assert all(l["stride"] == 2 for l in layers)
-        assert layers[-1]["out"] == FEATURE_CHANNELS
-        assert layers[-1]["act"] is None
+    def test_encoder_structure(self, monkeypatch):
+        enc = Encoder.build(3, 32, seed=0)
+        convs = _spy(monkeypatch, "conv2d")
+        acts = _spy(monkeypatch, "leaky_relu")
+        out = enc(_images())
+        assert [c.shape[-1] for c in convs] == [16, 8]  # both stride 2
+        assert enc.params["conv1.w"].shape[0] == FEATURE_CHANNELS
+        assert len(acts) == 1 and out is not acts[-1]
 
-    def test_decoder_ends_in_sigmoid(self):
-        layers = Decoder.build(3, 32, seed=0).describe()
-        assert layers[-1]["act"] == "sigmoid"
+    def test_decoder_ends_in_sigmoid(self, monkeypatch):
+        dec = Decoder.build(3, 32, seed=0)
+        squash = _spy(monkeypatch, "sigmoid")
+        out = dec(ad.as_tensor(np.ones((1, FEATURE_CHANNELS, 8, 8))))
+        assert len(squash) == 1 and out is squash[0]
 
-    def test_masknet_has_skips_and_sigmoid_head(self):
-        layers = MaskNet.build(3, seed=0).describe()
-        kinds = [l["kind"] for l in layers]
-        assert kinds.count("concat_skip") == 2
-        assert kinds.count("upsample2x") == 2
-        assert layers[-1] == {"kind": "conv", "in": 16, "out": 1, "k": 1,
-                              "stride": 1, "act": "sigmoid"}
+    def test_masknet_has_skips_and_sigmoid_head(self, monkeypatch):
+        unet = MaskNet.build(3, seed=0)
+        # each decoder stage reads its upsampled input next to the skip
+        assert unet.params["dec1b.w"].shape[:2] == (32, 2 * 32)
+        assert unet.params["dec0b.w"].shape[:2] == (16, 2 * 16)
+        assert unet.params["out.w"].shape == (1, 16, 1, 1)
+        ups = _spy(monkeypatch, "nearest_upsample2x")
+        squash = _spy(monkeypatch, "sigmoid")
+        out = unet(_images(n=1))
+        assert len(ups) == 2 and len(squash) == 1 and out is squash[0]
 
-    def test_interpolator_structure(self):
-        layers = Interpolator.build(seed=0).describe()
-        assert len(layers) == 2
-        assert layers[0]["act"] == "leaky_relu"
-        assert layers[1]["act"] is None
+    def test_interpolator_structure(self, monkeypatch):
+        net = Interpolator.build(seed=0)
+        assert net.params.names() == ["conv0.w", "conv0.b", "conv1.w", "conv1.b"]
+        acts = _spy(monkeypatch, "leaky_relu")
+        out = net(ad.as_tensor(np.ones((1, FEATURE_CHANNELS, 8, 8))))
+        assert len(acts) == 1 and out is not acts[-1]
 
 
 class TestSkipConnections:
     def test_skips_change_the_output(self):
         unet = MaskNet.build(3, seed=21)
         x = _images(n=1)
-        with_skips = unet(x, use_skips=True).data
-        without = unet(x, use_skips=False).data
-        assert np.any(with_skips != without)
-
-
-class TestFactory:
-    def test_build_network_dispatch(self):
-        for kind in ("encoder", "decoder", "interpolator", "critic", "unet"):
-            kwargs = {"in_features": 64} if kind == "critic" else {}
-            net = build_network(kind, seed=3, **kwargs)
-            assert len(net.params) > 0
-
-    def test_unknown_kind(self):
-        with pytest.raises(UsageError):
-            build_network("transformer", seed=0)
+        with_skips = unet(x).data
+        # zero the weights that read the skip half of each concatenation
+        unet.params["dec1b.w"].data[:, 32:] = 0.0
+        unet.params["dec0b.w"].data[:, 16:] = 0.0
+        assert np.any(unet(x).data != with_skips)

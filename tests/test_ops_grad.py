@@ -82,18 +82,6 @@ def test_detach_blocks_gradient():
     np.testing.assert_allclose(g.data, np.full(3, 2.0))
 
 
-def test_operator_sugar_matches_functions():
-    a = variable(np.array([1.0, 2.0]))
-    b = variable(np.array([3.0, 4.0]))
-    np.testing.assert_array_equal((a + b).data, ad.add(a, b).data)
-    np.testing.assert_array_equal((a - b).data, ad.sub(a, b).data)
-    np.testing.assert_array_equal((a * b).data, ad.mul(a, b).data)
-    np.testing.assert_array_equal((a / b).data, ad.div(a, b).data)
-    np.testing.assert_array_equal((-a).data, ad.neg(a).data)
-    m = variable(np.ones((2, 2)))
-    np.testing.assert_array_equal((m @ m).data, ad.matmul(m, m).data)
-
-
 def test_division_by_zero_raises():
     with pytest.raises(NumericError):
         ad.div(ad.as_tensor(1.0), ad.as_tensor(0.0))

@@ -7,7 +7,7 @@ import pytest
 
 from shapegan import trainer
 from shapegan.config import TrainConfig
-from shapegan.errors import ConfigurationError, TrainingAborted
+from shapegan.errors import ConfigurationError, DataError, TrainingAborted
 from shapegan.trainer import (
     NET_NAMES,
     build_adam,
@@ -245,6 +245,20 @@ class TestCheckpointing:
             == full.state.rng.bit_generator.state
         )
 
+    def test_resume_into_the_same_directory_keeps_the_trace(
+        self, tiny_dataset, micro_config, tmp_path
+    ):
+        cfg = dataclasses.replace(micro_config, max_iterations=4)
+        run_training(tiny_dataset, cfg, out_dir=tmp_path)
+        trace = (tmp_path / "trace.csv").read_text()
+        from shapegan.checkpoint import load_checkpoint
+
+        blob = load_checkpoint(tmp_path / "ckpt_000002.sgck")
+        run_training(tiny_dataset, cfg, out_dir=tmp_path, resume=blob)
+        # rows 1-2 kept, rows 3-4 written once more by the resumed run
+        assert (tmp_path / "trace.csv").read_text() == trace
+        assert len(trace.splitlines()) == 4
+
     def test_resume_skips_pretraining(self, tiny_dataset, micro_config, tmp_path):
         run_training(tiny_dataset, micro_config, out_dir=tmp_path)
         from shapegan.checkpoint import load_checkpoint
@@ -262,7 +276,7 @@ class TestCheckpointing:
         from shapegan.checkpoint import CheckpointBlob
         from shapegan.trainer import blob_to_state
 
-        with pytest.raises(ConfigurationError, match="lacks encoder"):
+        with pytest.raises(DataError, match="lacks encoder"):
             blob_to_state(CheckpointBlob({}, "", {}))
 
 
@@ -305,7 +319,15 @@ class TestAbort:
         exc = excinfo.value
         assert exc.iteration == 1
         assert exc.checkpoint_path == tmp_path / "last_good.sgck"
-        state, config = load_state(exc.checkpoint_path)
+        # the poisoned weight is part of the saved state, which loading rejects
+        with pytest.raises(DataError, match="non-finite"):
+            load_state(exc.checkpoint_path)
+        from shapegan.checkpoint import load_checkpoint
+        from shapegan.trainer import blob_to_state
+
+        blob = load_checkpoint(exc.checkpoint_path)
+        blob.tensors["critic/fc0.w"][0, 0] = 0.0
+        state, config = blob_to_state(blob)
         assert state.iteration == 0  # pre-loop state, pretraining included
         assert config == cfg
         assert (tmp_path / "trace.csv").read_text() == ""
