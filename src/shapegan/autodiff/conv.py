@@ -12,17 +12,36 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ConfigurationError
-from .ops import _result
+from .ops import _result, as_tensor
 from .tensor import Tensor
 
 
-def _check_geometry(op: str, h: int, w: int, kh: int, kw: int, stride: int, pad: int):
+def _operands(op: str, a, b) -> tuple[Tensor, Tensor]:
+    a, b = as_tensor(a), as_tensor(b)
+    if a.ndim != 4 or b.ndim != 4:
+        raise ConfigurationError(f"{op} expects 4-d operands, got {a.shape}, {b.shape}")
+    return a, b
+
+
+def _check_geometry(
+    op: str, h: int, w: int, kh: int, kw: int, stride: int, pad: int,
+    out_hw: tuple[int, int] | None = None,
+) -> tuple[int, int]:
+    """Validate the geometry of a conv2d over an (h, w) input and return its
+    output size, which must equal ``out_hw`` when that is given."""
     if stride < 1 or pad < 0:
         raise ConfigurationError(f"{op}: stride must be >= 1 and pad >= 0")
     if h + 2 * pad < kh or w + 2 * pad < kw:
         raise ConfigurationError(
             f"{op}: kernel {kh}x{kw} larger than padded input {h + 2 * pad}x{w + 2 * pad}"
         )
+    hw = _out_hw(h, w, kh, kw, stride, pad)
+    if out_hw is not None and hw != out_hw:
+        raise ConfigurationError(
+            f"{op}: input size {(h, w)} gives output size {hw}, not {out_hw},"
+            f" at stride={stride}, pad={pad}, kernel={kh}x{kw}"
+        )
+    return hw
 
 
 def _out_hw(h: int, w: int, kh: int, kw: int, stride: int, pad: int) -> tuple[int, int]:
@@ -64,21 +83,14 @@ def _col2im(
 
 def conv2d(x, kernel, stride: int = 1, pad: int = 0) -> Tensor:
     """Cross-correlate (N, C, H, W) with an (F, C, kh, kw) kernel."""
-    from .ops import as_tensor
-
-    x, kernel = as_tensor(x), as_tensor(kernel)
-    if x.ndim != 4 or kernel.ndim != 4:
-        raise ConfigurationError(
-            f"conv2d expects NCHW input and FCkk kernel, got {x.shape}, {kernel.shape}"
-        )
+    x, kernel = _operands("conv2d", x, kernel)
     n, c, h, w = x.shape
     f, kc, kh, kw = kernel.shape
     if kc != c:
         raise ConfigurationError(
             f"conv2d channel mismatch: input has {c}, kernel expects {kc}"
         )
-    _check_geometry("conv2d", h, w, kh, kw, stride, pad)
-    ho, wo = _out_hw(h, w, kh, kw, stride, pad)
+    ho, wo = _check_geometry("conv2d", h, w, kh, kw, stride, pad)
 
     cols = _im2col(x.data, kh, kw, stride, pad).reshape(n, c * kh * kw, ho * wo)
     kmat = kernel.data.reshape(f, c * kh * kw)
@@ -111,13 +123,7 @@ def conv_transpose2d(
     ``out_hw`` pins the output size when the forward geometry does not divide
     evenly; by default the minimal consistent size is used.
     """
-    from .ops import as_tensor
-
-    v, kernel = as_tensor(v), as_tensor(kernel)
-    if v.ndim != 4 or kernel.ndim != 4:
-        raise ConfigurationError(
-            f"conv_transpose2d expects NCHW input and FCkk kernel, got {v.shape}, {kernel.shape}"
-        )
+    v, kernel = _operands("conv_transpose2d", v, kernel)
     n, fv, hv, wv = v.shape
     f, c, kh, kw = kernel.shape
     if fv != f:
@@ -127,12 +133,7 @@ def conv_transpose2d(
     if out_hw is None:
         out_hw = ((hv - 1) * stride - 2 * pad + kh, (wv - 1) * stride - 2 * pad + kw)
     h, w = out_hw
-    _check_geometry("conv_transpose2d", h, w, kh, kw, stride, pad)
-    if _out_hw(h, w, kh, kw, stride, pad) != (hv, wv):
-        raise ConfigurationError(
-            f"conv_transpose2d: output size {out_hw} inconsistent with input {(hv, wv)}"
-            f" at stride={stride}, pad={pad}, kernel={kh}x{kw}"
-        )
+    _check_geometry("conv_transpose2d", h, w, kh, kw, stride, pad, (hv, wv))
 
     kmat = kernel.data.reshape(f, c * kh * kw)
     vmat = v.data.reshape(n, f, hv * wv)
@@ -162,25 +163,14 @@ def conv_kernel_grad(
     ``x`` is (N, C, H, W), ``cotangent`` is (N, F, Ho, Wo); the result has
     kernel shape (F, C, kh, kw).
     """
-    from .ops import as_tensor
-
-    x, cot = as_tensor(x), as_tensor(cotangent)
-    if x.ndim != 4 or cot.ndim != 4:
-        raise ConfigurationError(
-            f"conv_kernel_grad expects NCHW operands, got {x.shape}, {cot.shape}"
-        )
+    x, cot = _operands("conv_kernel_grad", x, cotangent)
     n, c, h, w = x.shape
     ng, f, ho, wo = cot.shape
     if ng != n:
         raise ConfigurationError(
             f"conv_kernel_grad batch mismatch: {n} vs {ng}"
         )
-    _check_geometry("conv_kernel_grad", h, w, kh, kw, stride, pad)
-    if _out_hw(h, w, kh, kw, stride, pad) != (ho, wo):
-        raise ConfigurationError(
-            f"conv_kernel_grad: cotangent size {(ho, wo)} inconsistent with input"
-            f" {(h, w)} at stride={stride}, pad={pad}, kernel={kh}x{kw}"
-        )
+    _check_geometry("conv_kernel_grad", h, w, kh, kw, stride, pad, (ho, wo))
 
     cols = _im2col(x.data, kh, kw, stride, pad).reshape(n, c * kh * kw, ho * wo)
     gmat = cot.data.reshape(n, f, ho * wo)

@@ -40,7 +40,3 @@ class ParamSet:
 
     def items(self):
         return self._tensors.items()
-
-    def snapshot(self) -> dict[str, np.ndarray]:
-        """Copies of all parameter buffers."""
-        return {k: t.data.copy() for k, t in self._tensors.items()}

@@ -16,7 +16,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import AdamState, ParamSet, Tensor, adam_step, backward, no_grad
 from .errors import ConfigurationError, UsageError
-from .networks import LEAK, interpolate
+from .networks import LEAK, _add_conv, _add_linear, _conv, _linear, _rng, interpolate
 from .seeds import derive_seed
 from .synth import Dataset
 from .trainer import NetBundle
@@ -137,33 +137,24 @@ def mask_quality_score(nets: NetBundle, dataset: Dataset) -> float:
 class SmallClassifier:
     """Three stride-2 conv stages and a linear head over the flattened map."""
 
-    def __init__(self, params: ParamSet, in_channels: int, image_size: int,
-                 n_classes: int, widths: tuple[int, int, int]):
+    def __init__(self, params: ParamSet, in_channels: int):
         self.params = params
         self.in_channels = in_channels
-        self.image_size = image_size
-        self.n_classes = n_classes
-        self.widths = widths
 
     @classmethod
     def build(cls, in_channels: int, image_size: int, n_classes: int,
-              seed: int = 0, widths: tuple[int, int, int] = (16, 32, 64)
-              ) -> "SmallClassifier":
+              seed: int = 0) -> "SmallClassifier":
         if image_size % 8 or n_classes < 2:
             raise ConfigurationError(
                 "classifier needs image_size divisible by 8 and >= 2 classes"
             )
-        rng = np.random.Generator(np.random.PCG64(seed))
+        rng = _rng(seed)
         ps = ParamSet("classifier")
-        chain = (in_channels,) + widths
+        chain = (in_channels, 16, 32, 64)
         for i in range(3):
-            std = np.sqrt(2.0 / (chain[i] * 9))
-            ps.add(f"conv{i}.w", rng.normal(0.0, std, size=(chain[i + 1], chain[i], 3, 3)))
-            ps.add(f"conv{i}.b", np.zeros((chain[i + 1], 1, 1)))
-        flat = widths[-1] * (image_size // 8) ** 2
-        ps.add("head.w", rng.normal(0.0, np.sqrt(2.0 / flat), size=(flat, n_classes)))
-        ps.add("head.b", np.zeros(n_classes))
-        return cls(ps, in_channels, image_size, n_classes, widths)
+            _add_conv(ps, rng, f"conv{i}", chain[i], chain[i + 1], 3)
+        _add_linear(ps, rng, "head", chain[-1] * (image_size // 8) ** 2, n_classes)
+        return cls(ps, in_channels)
 
     def __call__(self, images: Tensor) -> Tensor:
         h = ad.as_tensor(images)
@@ -172,12 +163,9 @@ class SmallClassifier:
                 f"classifier expects (N, {self.in_channels}, S, S), got {h.shape}"
             )
         for i in range(3):
-            h = ad.add(ad.conv2d(h, self.params[f"conv{i}.w"], 2, 1),
-                       self.params[f"conv{i}.b"])
-            h = ad.leaky_relu(h, LEAK)
+            h = ad.leaky_relu(_conv(h, self.params, f"conv{i}", 2, 1), LEAK)
         n = h.shape[0]
-        flat = ad.reshape(h, (n, h.size // n))
-        return ad.add(ad.matmul(flat, self.params["head.w"]), self.params["head.b"])
+        return _linear(ad.reshape(h, (n, h.size // n)), self.params, "head")
 
     def probabilities(self, images: np.ndarray) -> np.ndarray:
         with no_grad():

@@ -19,7 +19,6 @@ from .autodiff import Tensor, backward, no_grad, variable
 from .errors import UsageError
 from .networks import Critic, MaskNet
 from .objectives import (
-    FeatureBatchPair,
     dice_loss,
     gradient_penalty,
     loss_critic,
@@ -52,7 +51,6 @@ class CheckResult:
 def fd_gradients(
     func: Callable[[Sequence[np.ndarray]], float],
     arrays: Sequence[np.ndarray],
-    step: float = FD_STEP,
 ) -> list[np.ndarray]:
     """Central-difference gradient of a scalar function of several arrays."""
     arrays = [np.array(a, dtype=np.float64) for a in arrays]
@@ -62,12 +60,12 @@ def fd_gradients(
         g = np.zeros_like(flat)
         for i in range(flat.size):
             keep = flat[i]
-            flat[i] = keep + step
+            flat[i] = keep + FD_STEP
             fp = func(arrays)
-            flat[i] = keep - step
+            flat[i] = keep - FD_STEP
             fm = func(arrays)
             flat[i] = keep
-            g[i] = (fp - fm) / (2.0 * step)
+            g[i] = (fp - fm) / (2.0 * FD_STEP)
         grads.append(g.reshape(arrays[ai].shape))
     return grads
 
@@ -82,7 +80,6 @@ def check_scalar_function(
     build: Callable[[Sequence[Tensor]], Tensor],
     arrays: Sequence[np.ndarray],
     tolerance: float,
-    step: float = FD_STEP,
 ) -> CheckResult:
     """Compare backward() of ``build(leaves)`` against finite differences."""
     leaves = [variable(np.array(a, dtype=np.float64)) for a in arrays]
@@ -92,7 +89,7 @@ def check_scalar_function(
         consts = [ad.as_tensor(np.array(a)) for a in arrs]
         return build(consts).item()
 
-    numeric = fd_gradients(numeric_eval, arrays, step)
+    numeric = fd_gradients(numeric_eval, arrays)
     err = max(relative_error(a.data if isinstance(a, Tensor) else a, n)
               for a, n in zip(analytic, numeric))
     return CheckResult(name, err, tolerance)
@@ -116,12 +113,12 @@ def _weighted(out: Tensor, weights: np.ndarray) -> Tensor:
 # ---------------------------------------------------------------------------
 # primitive checks
 
-def primitive_checks(step: float = FD_STEP) -> list[CheckResult]:
+def primitive_checks() -> list[CheckResult]:
     rng = _rng(20260819)
     results = []
 
     def run(name, build, arrays):
-        results.append(check_scalar_function(name, build, arrays, TOL_PRIMITIVE, step))
+        results.append(check_scalar_function(name, build, arrays, TOL_PRIMITIVE))
 
     a = _safe(rng, (3, 4))
     b = _safe(rng, (3, 4))
@@ -188,13 +185,13 @@ def primitive_checks(step: float = FD_STEP) -> list[CheckResult]:
     return results
 
 
-def conv_checks(step: float = FD_STEP) -> list[CheckResult]:
+def conv_checks() -> list[CheckResult]:
+    return list(_conv_results())
+
+
+def _conv_results():
+    """The conv checks, each computed when it is drawn."""
     rng = _rng(7051)
-    results = []
-
-    def run(name, build, arrays):
-        results.append(check_scalar_function(name, build, arrays, TOL_PRIMITIVE, step))
-
     cases = [
         ("conv2d k3 s1 p1", (2, 2, 5, 5), (3, 2, 3, 3), 1, 1),
         ("conv2d k3 s2 p1", (1, 2, 6, 6), (2, 2, 3, 3), 2, 1),
@@ -205,35 +202,37 @@ def conv_checks(step: float = FD_STEP) -> list[CheckResult]:
         k = _safe(rng, ks)
         out_hw = ad.conv2d(ad.as_tensor(x), ad.as_tensor(k), stride, pad).shape
         w = rng.standard_normal(out_hw)
-        run(
+        yield check_scalar_function(
             name,
             lambda t, s=stride, p=pad, w=w: _weighted(ad.conv2d(t[0], t[1], s, p), w),
             [x, k],
+            TOL_PRIMITIVE,
         )
 
     v = _safe(rng, (1, 2, 3, 3))
     k = _safe(rng, (2, 2, 3, 3))
     wt = rng.standard_normal((1, 2, 6, 6))
-    run(
+    yield check_scalar_function(
         "conv_transpose2d k3 s2 p1 out6",
         lambda t: _weighted(ad.conv_transpose2d(t[0], t[1], 2, 1, out_hw=(6, 6)), wt),
         [v, k],
+        TOL_PRIMITIVE,
     )
     x = _safe(rng, (2, 2, 5, 5))
     cot = _safe(rng, (2, 3, 5, 5))
     wk = rng.standard_normal((3, 2, 3, 3))
-    run(
+    yield check_scalar_function(
         "conv_kernel_grad k3 s1 p1",
         lambda t: _weighted(ad.conv_kernel_grad(t[0], t[1], 3, 3, 1, 1), wk),
         [x, cot],
+        TOL_PRIMITIVE,
     )
-    return results
 
 
 # ---------------------------------------------------------------------------
 # composite loss checks
 
-def loss_checks(step: float = FD_STEP) -> list[CheckResult]:
+def loss_checks() -> list[CheckResult]:
     rng = _rng(99173)
     results = []
 
@@ -245,7 +244,6 @@ def loss_checks(step: float = FD_STEP) -> list[CheckResult]:
             lambda t: loss_reconstruction(t[0], t[1]),
             [img, dec],
             TOL_LOSS,
-            step,
         )
     )
 
@@ -253,7 +251,7 @@ def loss_checks(step: float = FD_STEP) -> list[CheckResult]:
     gm = (rng.random((3, 1, 4, 4)) > 0.5).astype(np.float64)
     results.append(
         check_scalar_function(
-            "dice_loss", lambda t: dice_loss(t[0], gm), [pm], TOL_LOSS, step
+            "dice_loss", lambda t: dice_loss(t[0], gm), [pm], TOL_LOSS
         )
     )
 
@@ -267,7 +265,6 @@ def loss_checks(step: float = FD_STEP) -> list[CheckResult]:
             lambda t: loss_generator_adv(t[0], critic),
             [fake],
             TOL_LOSS,
-            step,
         )
     )
     results.append(
@@ -278,19 +275,16 @@ def loss_checks(step: float = FD_STEP) -> list[CheckResult]:
             ),
             [p.data for p in critic.params.tensors()],
             TOL_LOSS,
-            step,
         )
     )
-    pair = FeatureBatchPair(ad.as_tensor(real), ad.as_tensor(fake))
     results.append(
         check_scalar_function(
             "loss_critic (critic params)",
             lambda t: _with_params(
-                critic, t, lambda: loss_critic(pair, critic, eps, 10.0)
+                critic, t, lambda: loss_critic(real, fake, critic, eps, 10.0)
             ),
             [p.data for p in critic.params.tensors()],
             TOL_LOSS,
-            step,
         )
     )
 
@@ -303,7 +297,6 @@ def loss_checks(step: float = FD_STEP) -> list[CheckResult]:
             lambda t: loss_shape(t[0], ad.as_tensor(src), unet),
             [tr],
             TOL_LOSS,
-            step,
         )
     )
     return results
@@ -330,12 +323,16 @@ def _with_params(net, leaf_tensors: Sequence[Tensor], thunk: Callable[[], Tensor
 # ---------------------------------------------------------------------------
 # second order
 
-def second_order_checks(step: float = FD_STEP) -> list[CheckResult]:
+def second_order_checks() -> list[CheckResult]:
     """Verify gradients *of* a gradient-norm penalty (double backward)."""
+    return list(_second_order_results())
+
+
+def _second_order_results():
+    """The second-order checks, each computed when it is drawn."""
     rng = _rng(55021)
     critic = Critic.build(8, hidden=(6,), seed=13)
     base = rng.standard_normal((3, 8)) * 0.7
-    results = []
 
     def penalty_from(blend_data: np.ndarray) -> Tensor:
         blend = variable(np.array(blend_data))
@@ -354,26 +351,20 @@ def second_order_checks(step: float = FD_STEP) -> list[CheckResult]:
     def numeric_eval(arrs):
         return penalty_from(arrs[0]).item()
 
-    (numeric,) = fd_gradients(numeric_eval, [base.copy()], step)
-    results.append(
-        CheckResult(
-            "second_order wrt blend point",
-            relative_error(analytic.data, numeric),
-            TOL_SECOND_ORDER,
-        )
+    (numeric,) = fd_gradients(numeric_eval, [base.copy()])
+    yield CheckResult(
+        "second_order wrt blend point",
+        relative_error(analytic.data, numeric),
+        TOL_SECOND_ORDER,
     )
 
     # d penalty / d critic parameters
-    results.append(
-        check_scalar_function(
-            "second_order wrt critic params",
-            lambda t: _with_params(critic, t, lambda: penalty_from(base)),
-            [p.data for p in critic.params.tensors()],
-            TOL_SECOND_ORDER,
-            step,
-        )
+    yield check_scalar_function(
+        "second_order wrt critic params",
+        lambda t: _with_params(critic, t, lambda: penalty_from(base)),
+        [p.data for p in critic.params.tensors()],
+        TOL_SECOND_ORDER,
     )
-    return results
 
 
 # ---------------------------------------------------------------------------
@@ -383,12 +374,7 @@ def run(level: str = "full") -> list[CheckResult]:
     """Run the gradient checks; ``level`` is "quick" or "full"."""
     if level not in ("quick", "full"):
         raise UsageError(f"unknown grad-check level: {level!r}")
-    results = primitive_checks()
     if level == "full":
-        results += conv_checks()
-        results += loss_checks()
-        results += second_order_checks()
-    else:
-        results += conv_checks()[:1]
-        results += second_order_checks()[:1]
-    return results
+        return primitive_checks() + conv_checks() + loss_checks() + second_order_checks()
+    # the first conv check and the first second-order check, computed alone
+    return primitive_checks() + [next(_conv_results()), next(_second_order_results())]

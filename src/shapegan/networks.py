@@ -1,8 +1,10 @@
 """The five networks: encoder, decoder, interpolator, critic, mask net.
 
-Architecture constants live here. Feature maps are 64x(S/4)x(S/4) for an
-SxS input; downsampling is always stride-2 convolution and upsampling is
-nearest-neighbour followed by convolution. LeakyReLU(0.2) is used between
+Architecture constants live here, with the layer helpers (``_add_conv``,
+``_add_linear``, ``_conv``, ``_linear``) that these networks and the domain
+classifier in ``evaluation`` are built from. Feature maps are
+64x(S/4)x(S/4) for an SxS input; downsampling is always stride-2
+convolution and upsampling is nearest-neighbour followed by convolution. LeakyReLU(0.2) is used between
 layers; the decoder and mask net end in a sigmoid, the critic output is
 unbounded. Weights are He-initialized from a seeded generator, biases zero.
 """
@@ -50,6 +52,15 @@ def _conv(x: Tensor, ps: ParamSet, key: str, stride: int, pad: int) -> Tensor:
     return ad.add(ad.conv2d(x, ps[f"{key}.w"], stride, pad), ps[f"{key}.b"])
 
 
+def _linear(x: Tensor, ps: ParamSet, key: str) -> Tensor:
+    return ad.add(ad.matmul(x, ps[f"{key}.w"]), ps[f"{key}.b"])
+
+
+def feature_width(image_size: int) -> int:
+    """Flattened size of one encoder feature map, the critic's input width."""
+    return FEATURE_CHANNELS * (image_size // 4) ** 2
+
+
 def _check_images(x: Tensor, channels: int, size: int, who: str) -> None:
     if x.ndim != 4 or x.shape[1] != channels or x.shape[2:] != (size, size):
         raise ConfigurationError(
@@ -64,30 +75,22 @@ class Encoder:
     around zero, which suits arithmetic on feature differences.
     """
 
-    def __init__(self, params: ParamSet, in_channels: int, image_size: int,
-                 widths: tuple[int, int]):
+    def __init__(self, params: ParamSet, in_channels: int, image_size: int):
         self.params = params
         self.in_channels = in_channels
         self.image_size = image_size
-        self.widths = widths
 
     @classmethod
-    def build(cls, in_channels: int = 3, image_size: int = 32, seed: int = 0,
-              widths: tuple[int, int] = (32, FEATURE_CHANNELS)) -> "Encoder":
+    def build(cls, in_channels: int = 3, image_size: int = 32, seed: int = 0) -> "Encoder":
         if image_size % 4 or image_size < 16:
             raise ConfigurationError(
                 f"image_size must be a multiple of 4 and >= 16, got {image_size}"
             )
         rng = _rng(seed)
         ps = ParamSet("encoder")
-        _add_conv(ps, rng, "conv0", in_channels, widths[0], 3)
-        _add_conv(ps, rng, "conv1", widths[0], widths[1], 3)
-        return cls(ps, in_channels, image_size, widths)
-
-    @property
-    def feature_shape(self) -> tuple[int, int, int]:
-        s = self.image_size // 4
-        return (self.widths[1], s, s)
+        _add_conv(ps, rng, "conv0", in_channels, 32, 3)
+        _add_conv(ps, rng, "conv1", 32, FEATURE_CHANNELS, 3)
+        return cls(ps, in_channels, image_size)
 
     def __call__(self, images: Tensor) -> Tensor:
         _check_images(images, self.in_channels, self.image_size, "encoder")
@@ -95,26 +98,21 @@ class Encoder:
         return _conv(h, self.params, "conv1", 2, 1)
 
 
-
 class Decoder:
     """Feature (N, 64, S/4, S/4) -> image (N, C, S, S), final sigmoid."""
 
-    def __init__(self, params: ParamSet, out_channels: int, image_size: int,
-                 widths: tuple[int, int]):
+    def __init__(self, params: ParamSet, image_size: int):
         self.params = params
-        self.out_channels = out_channels
         self.image_size = image_size
-        self.widths = widths
 
     @classmethod
-    def build(cls, out_channels: int = 3, image_size: int = 32, seed: int = 0,
-              widths: tuple[int, int] = (32, 16)) -> "Decoder":
+    def build(cls, out_channels: int = 3, image_size: int = 32, seed: int = 0) -> "Decoder":
         rng = _rng(seed)
         ps = ParamSet("decoder")
-        _add_conv(ps, rng, "conv0", FEATURE_CHANNELS, widths[0], 3)
-        _add_conv(ps, rng, "conv1", widths[0], widths[1], 3)
-        _add_conv(ps, rng, "conv_out", widths[1], out_channels, 3)
-        return cls(ps, out_channels, image_size, widths)
+        _add_conv(ps, rng, "conv0", FEATURE_CHANNELS, 32, 3)
+        _add_conv(ps, rng, "conv1", 32, 16, 3)
+        _add_conv(ps, rng, "conv_out", 16, out_channels, 3)
+        return cls(ps, image_size)
 
     def __call__(self, features: Tensor) -> Tensor:
         s = self.image_size // 4
@@ -130,7 +128,6 @@ class Decoder:
         return ad.sigmoid(_conv(h, self.params, "conv_out", 1, 1))
 
 
-
 class Interpolator:
     """Residual direction net: maps a feature difference to a correction.
 
@@ -138,26 +135,24 @@ class Interpolator:
     final activation.
     """
 
-    def __init__(self, params: ParamSet, channels: int):
+    def __init__(self, params: ParamSet):
         self.params = params
-        self.channels = channels
 
     @classmethod
-    def build(cls, channels: int = FEATURE_CHANNELS, seed: int = 0) -> "Interpolator":
+    def build(cls, seed: int = 0) -> "Interpolator":
         rng = _rng(seed)
         ps = ParamSet("interpolator")
-        _add_conv(ps, rng, "conv0", channels, channels, 3)
-        _add_conv(ps, rng, "conv1", channels, channels, 3)
-        return cls(ps, channels)
+        _add_conv(ps, rng, "conv0", FEATURE_CHANNELS, FEATURE_CHANNELS, 3)
+        _add_conv(ps, rng, "conv1", FEATURE_CHANNELS, FEATURE_CHANNELS, 3)
+        return cls(ps)
 
     def __call__(self, diff: Tensor) -> Tensor:
-        if diff.ndim != 4 or diff.shape[1] != self.channels:
+        if diff.ndim != 4 or diff.shape[1] != FEATURE_CHANNELS:
             raise ConfigurationError(
-                f"interpolator expects (N, {self.channels}, h, w), got {diff.shape}"
+                f"interpolator expects (N, {FEATURE_CHANNELS}, h, w), got {diff.shape}"
             )
         h = ad.leaky_relu(_conv(diff, self.params, "conv0", 1, 1), LEAK)
         return _conv(h, self.params, "conv1", 1, 1)
-
 
 
 class Critic:
@@ -178,11 +173,6 @@ class Critic:
             _add_linear(ps, rng, f"fc{i}", dims[i], dims[i + 1])
         return cls(ps, in_features, tuple(hidden))
 
-    @classmethod
-    def for_feature_shape(cls, shape: tuple[int, int, int], seed: int = 0) -> "Critic":
-        c, h, w = shape
-        return cls.build(c * h * w, seed=seed)
-
     def __call__(self, features: Tensor) -> Tensor:
         if features.ndim < 2:
             raise ConfigurationError(
@@ -198,11 +188,10 @@ class Critic:
         h = ad.reshape(features, (n, flat_dim))
         last = len(self.hidden)
         for i in range(last + 1):
-            h = ad.add(ad.matmul(h, self.params[f"fc{i}.w"]), self.params[f"fc{i}.b"])
+            h = _linear(h, self.params, f"fc{i}")
             if i < last:
                 h = ad.leaky_relu(h, LEAK)
         return h
-
 
 
 class MaskNet:
@@ -212,17 +201,14 @@ class MaskNet:
     concatenations, 1x1 output convolution with sigmoid.
     """
 
-    def __init__(self, params: ParamSet, in_channels: int,
-                 widths: tuple[int, int, int]):
+    def __init__(self, params: ParamSet, in_channels: int):
         self.params = params
         self.in_channels = in_channels
-        self.widths = widths
 
     @classmethod
-    def build(cls, in_channels: int = 3, seed: int = 0,
-              widths: tuple[int, int, int] = (16, 32, 64)) -> "MaskNet":
+    def build(cls, in_channels: int = 3, seed: int = 0) -> "MaskNet":
         rng = _rng(seed)
-        w1, w2, w3 = widths
+        w1, w2, w3 = 16, 32, 64
         ps = ParamSet("unet")
         _add_conv(ps, rng, "enc0", in_channels, w1, 3)
         _add_conv(ps, rng, "enc1", w1, w2, 3)
@@ -232,7 +218,7 @@ class MaskNet:
         _add_conv(ps, rng, "dec0a", w2, w1, 3)
         _add_conv(ps, rng, "dec0b", 2 * w1, w1, 3)
         _add_conv(ps, rng, "out", w1, 1, 1)
-        return cls(ps, in_channels, widths)
+        return cls(ps, in_channels)
 
     def __call__(self, images: Tensor) -> Tensor:
         if images.ndim != 4 or images.shape[1] != self.in_channels:

@@ -9,30 +9,11 @@ reference mask is computed off-tape).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor, backward, no_grad, variable
 from .errors import ConfigurationError, UsageError
-
-
-@dataclass(frozen=True)
-class FeatureBatchPair:
-    """Equal-sized real/fake feature batches scored by the critic."""
-
-    real_features: Tensor
-    fake_features: Tensor
-
-    def __post_init__(self):
-        r, f = self.real_features, self.fake_features
-        if r.shape != f.shape:
-            raise ConfigurationError(
-                f"real/fake feature shapes differ: {r.shape} vs {f.shape}"
-            )
-        if r.shape[0] < 1:
-            raise ConfigurationError("feature batches must be non-empty")
 
 
 def loss_reconstruction(images: Tensor, decoded: Tensor) -> Tensor:
@@ -45,6 +26,17 @@ def loss_reconstruction(images: Tensor, decoded: Tensor) -> Tensor:
     return ad.mean(ad.square(ad.sub(images, decoded)))
 
 
+def _feature_pair(real_features, fake_features) -> tuple[Tensor, Tensor]:
+    real, fake = ad.as_tensor(real_features), ad.as_tensor(fake_features)
+    if real.shape != fake.shape:
+        raise ConfigurationError(
+            f"real/fake feature shapes differ: {real.shape} vs {fake.shape}"
+        )
+    if real.size == 0:
+        raise ConfigurationError("feature batches must be non-empty")
+    return real, fake
+
+
 def gradient_penalty(critic, real_features, fake_features, blend_eps) -> Tensor:
     """Two-sided unit-norm penalty at per-sample blends of real and fake.
 
@@ -53,12 +45,7 @@ def gradient_penalty(critic, real_features, fake_features, blend_eps) -> Tensor:
     from a higher-order backward pass, so the returned scalar can itself be
     differentiated with respect to the critic parameters.
     """
-    real = ad.as_tensor(real_features)
-    fake = ad.as_tensor(fake_features)
-    if real.shape != fake.shape:
-        raise ConfigurationError(
-            f"real/fake feature shapes differ: {real.shape} vs {fake.shape}"
-        )
+    real, fake = _feature_pair(real_features, fake_features)
     n = real.shape[0]
     eps = np.asarray(blend_eps, dtype=np.float64).reshape(-1)
     if eps.size != n:
@@ -73,24 +60,19 @@ def gradient_penalty(critic, real_features, fake_features, blend_eps) -> Tensor:
     return ad.mean(ad.square(ad.sub(norms, 1.0)))
 
 
-def loss_critic(
-    pair: FeatureBatchPair,
-    critic,
-    blend_eps,
-    lambda_gp: float = 10.0,
-) -> Tensor:
-    """Critic objective: score gap plus weighted gradient penalty.
+def loss_critic(real_features, fake_features, critic, blend_eps, lambda_gp: float) -> Tensor:
+    """Critic objective on equal-sized real/fake feature batches: score gap
+    plus weighted gradient penalty.
 
     A zero penalty weight omits the term entirely; the penalty is singular
     where the critic's input gradient vanishes, so it must not sit on the
     tape when it cannot contribute.
     """
-    fake_term = ad.mean(critic(pair.fake_features))
-    real_term = ad.mean(critic(pair.real_features))
-    gap = ad.sub(fake_term, real_term)
+    real, fake = _feature_pair(real_features, fake_features)
+    gap = ad.sub(ad.mean(critic(fake)), ad.mean(critic(real)))
     if lambda_gp == 0.0:
         return gap
-    gp = gradient_penalty(critic, pair.real_features, pair.fake_features, blend_eps)
+    gp = gradient_penalty(critic, real, fake, blend_eps)
     return ad.add(gap, ad.scalar_mul(gp, lambda_gp))
 
 

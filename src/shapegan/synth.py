@@ -161,21 +161,16 @@ _RENDERERS = {
 }
 
 
-def generate_sample(
-    seed: int,
-    domain: DomainSpec,
-    size: int = 32,
-    paired_shape: ShapeSpec | None = None,
-) -> ImageSample:
+def generate_sample(seed: int, domain: DomainSpec, size: int = 32) -> ImageSample:
     """Render one sample, fully determined by (seed, domain, size).
 
     The silhouette and the attribute draws come from independent seed-derived
-    streams, so supplying ``paired_shape`` swaps the silhouette without
-    disturbing the attribute randomness.
+    streams, and the silhouette's stream does not depend on the domain, so
+    one seed gives the same silhouette in every domain.
     """
     shape_rng = np.random.Generator(np.random.PCG64(derive_seed(seed, 1)))
     attr_rng = np.random.Generator(np.random.PCG64(derive_seed(seed, 2, domain.domain_id)))
-    spec = paired_shape if paired_shape is not None else sample_shape(shape_rng)
+    spec = sample_shape(shape_rng)
     dist, r_req = _polar_fields(spec, size)
     mask = rasterize_mask(spec, size)
     fill = _RENDERERS[domain.attribute](attr_rng, mask[0], dist, r_req, size)

@@ -14,7 +14,7 @@ and a resumed run continues the interrupted one exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -26,16 +26,15 @@ from .checkpoint import CheckpointBlob, load_checkpoint, save_checkpoint
 from .config import TrainConfig, parse_config_text
 from .errors import ConfigurationError, DataError, NumericError, TrainingAborted
 from .networks import (
-    FEATURE_CHANNELS,
     Critic,
     Decoder,
     Encoder,
     Interpolator,
     MaskNet,
+    feature_width,
     interpolate,
 )
 from .objectives import (
-    FeatureBatchPair,
     loss_critic,
     loss_generator_adv,
     loss_reconstruction,
@@ -47,6 +46,7 @@ from .synth import Dataset
 
 NET_NAMES = ("encoder", "decoder", "interpolator", "critic", "unet")
 _ITERATION_KEY = "iteration"
+_RECON_WINDOW_KEY = "early_stop/recon"
 _EARLY_STOP_WINDOW = 100
 _EARLY_STOP_DELTA = 1e-4
 
@@ -69,6 +69,9 @@ class TrainerState:
     adam: dict[str, AdamState]
     rng: np.random.Generator
     iteration: int = 0
+    # the last 2 * _EARLY_STOP_WINDOW reconstruction errors the early stop
+    # compares; checkpointed only when early_stop is on
+    recon_history: list[float] = field(default_factory=list)
 
 
 @dataclass
@@ -82,23 +85,16 @@ def build_nets(config: TrainConfig, in_channels: int, seed: int) -> NetBundle:
     encoder = Encoder.build(in_channels, config.image_size, derive_seed(seed, 101))
     decoder = Decoder.build(in_channels, config.image_size, derive_seed(seed, 102))
     interp = Interpolator.build(seed=derive_seed(seed, 103))
-    critic = Critic.for_feature_shape(encoder.feature_shape, seed=derive_seed(seed, 104))
+    critic = Critic.build(feature_width(config.image_size), seed=derive_seed(seed, 104))
     unet = MaskNet.build(in_channels, seed=derive_seed(seed, 105))
     return NetBundle(encoder, decoder, interp, critic, unet)
 
 
 def build_adam(config: TrainConfig, nets: NetBundle) -> dict[str, AdamState]:
-    lrs = {
-        "encoder": config.lr_encoder,
-        "decoder": config.lr_decoder,
-        "interpolator": config.lr_interpolator,
-        "critic": config.lr_critic,
-        "unet": config.lr_unet,
-    }
     return {
         name: AdamState.for_params(
             ps,
-            lrs[name],
+            getattr(config, f"lr_{name}"),
             config.adam_beta1,
             config.adam_beta2,
             config.adam_epsilon,
@@ -147,9 +143,7 @@ def critic_step(
         fy = nets.encoder(ad.as_tensor(batch_y))
         fake = interpolate(fx, fy, alphas, "learned", nets.interpolator)
     eps = rng.random(n)
-    loss = loss_critic(
-        FeatureBatchPair(fy, fake), nets.critic, eps, config.lambda_gp
-    )
+    loss = loss_critic(fy, fake, nets.critic, eps, config.lambda_gp)
     _update(loss, nets, adam, ("critic",))
     return loss.item()
 
@@ -247,6 +241,8 @@ def _state_arrays(nets: NetBundle, adam: dict[str, AdamState]) -> dict[str, np.n
 
 def state_to_blob(state: TrainerState, config: TrainConfig) -> CheckpointBlob:
     tensors = {k: a.copy() for k, a in _state_arrays(state.nets, state.adam).items()}
+    if config.early_stop:
+        tensors[_RECON_WINDOW_KEY] = np.array(state.recon_history, dtype=np.float64)
     config_text = config.to_text() + f"{_ITERATION_KEY} = {state.iteration}\n"
     return CheckpointBlob(tensors, config_text, state.rng.bit_generator.state)
 
@@ -270,9 +266,8 @@ def blob_to_state(blob: CheckpointBlob) -> tuple[TrainerState, TrainConfig]:
     conv0 = blob.tensors.get("encoder/conv0.w")
     if conv0 is None or conv0.ndim != 4 or conv0.shape[1] == 0:
         raise DataError("checkpoint lacks encoder parameters")
-    width = FEATURE_CHANNELS * (config.image_size // 4) ** 2
     fc0 = blob.tensors.get("critic/fc0.w")
-    if fc0 is None or fc0.shape[:1] != (width,):
+    if fc0 is None or fc0.shape[:1] != (feature_width(config.image_size),):
         raise DataError(f"checkpoint critic does not fit image_size={config.image_size}")
     nets = build_nets(config, int(conv0.shape[1]), config.seed)
     adam = build_adam(config, nets)
@@ -290,16 +285,19 @@ def blob_to_state(blob: CheckpointBlob) -> tuple[TrainerState, TrainConfig]:
         if not step.is_integer():
             raise DataError(f"checkpoint Adam step {step!r} of {name} is not a count")
         st.step = int(step)
+    recon_history = []
+    if config.early_stop:
+        window = blob.tensors.get(_RECON_WINDOW_KEY)
+        if window is None or window.ndim != 1 or not np.all(np.isfinite(window)):
+            raise DataError(f"checkpoint tensor {_RECON_WINDOW_KEY!r} is missing,"
+                            " misshapen or non-finite")
+        recon_history = [float(v) for v in window]
     rng = np.random.Generator(np.random.PCG64(0))
     try:
         rng.bit_generator.state = blob.rng_state
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"checkpoint RNG state is malformed: {exc!r}") from None
-    return TrainerState(nets, adam, rng, iteration), config
-
-
-def save_state(path, state: TrainerState, config: TrainConfig) -> Path:
-    return save_checkpoint(path, state_to_blob(state, config))
+    return TrainerState(nets, adam, rng, iteration, recon_history), config
 
 
 def load_state(path) -> tuple[TrainerState, TrainConfig]:
@@ -407,7 +405,7 @@ def run_training(
             notify("unet_pretrain_step", 0)
         last_good = state_to_blob(state, config)
 
-    recon_history: list[float] = []
+    recon_history = state.recon_history
     for it in range(state.iteration + 1, config.max_iterations + 1):
         try:
             dx = int(domains[rng.integers(len(domains))])
@@ -464,17 +462,14 @@ def run_training(
         )
         trace_rows.append(row)
         recon_history.append(row[2])
+        del recon_history[: -2 * _EARLY_STOP_WINDOW]
         notify("iteration_end", it)
         last_good = state_to_blob(state, config)
         if out is not None and it % config.checkpoint_every == 0:
             save_checkpoint(out / f"ckpt_{it:06d}.sgck", last_good)
-        if config.early_stop and len(recon_history) >= 2 * _EARLY_STOP_WINDOW:
-            now = float(np.mean(recon_history[-_EARLY_STOP_WINDOW:]))
-            prev = float(
-                np.mean(
-                    recon_history[-2 * _EARLY_STOP_WINDOW : -_EARLY_STOP_WINDOW]
-                )
-            )
+        if config.early_stop and len(recon_history) == 2 * _EARLY_STOP_WINDOW:
+            prev = float(np.mean(recon_history[:_EARLY_STOP_WINDOW]))
+            now = float(np.mean(recon_history[_EARLY_STOP_WINDOW:]))
             if abs(now - prev) < _EARLY_STOP_DELTA:
                 break
 

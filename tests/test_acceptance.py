@@ -23,7 +23,7 @@ from shapegan.evaluation import (
     train_quality_classifier,
 )
 from shapegan.networks import Critic, Interpolator, interpolate
-from shapegan.objectives import FeatureBatchPair, dice_loss, loss_critic
+from shapegan.objectives import dice_loss, loss_critic
 from shapegan.synth import build_dataset, load_dataset
 from shapegan.trainer import (
     build_adam,
@@ -148,9 +148,7 @@ def test_5_critic_learns_wasserstein_gap():
     adam = AdamState.for_params(critic.params, 1e-4, beta1=0.0, beta2=0.9)
     for _ in range(steps):
         eps = rng.random(real.shape[0])
-        loss = loss_critic(
-            FeatureBatchPair(ad.as_tensor(real), ad.as_tensor(fake)),
-            critic, eps, 10.0)
+        loss = loss_critic(real, fake, critic, eps, 10.0)
         grads = backward(loss, critic.params.tensors())
         adam_step(critic.params, grads, adam)
     with no_grad():

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from shapegan import netpbm, synth
 from shapegan.errors import ConfigurationError, DataError, UsageError
-from shapegan.seeds import derive_seed
 from shapegan.synth import (
     ATTRIBUTES,
     BACKGROUND,
@@ -225,25 +224,6 @@ class TestGenerateSample:
         b = generate_sample(9, default_domain(1), 32)
         assert np.array_equal(a.mask, b.mask)
         assert not np.array_equal(a.image, b.image)
-
-    def test_paired_shape_overrides_silhouette(self):
-        donor = generate_sample(5, default_domain(0), 32)
-        spec = sample_shape(
-            np.random.Generator(np.random.PCG64(derive_seed(5, 1)))
-        )
-        swapped = generate_sample(11, default_domain(0), 32, paired_shape=spec)
-        assert np.array_equal(swapped.mask, donor.mask)
-
-    def test_paired_shape_leaves_attribute_draws_alone(self):
-        # plain fill covers the full frame before masking, so two samples
-        # with the same seed but different silhouettes must agree wherever
-        # both masks are on
-        base = generate_sample(21, default_domain(0), 32)
-        other_spec = sample_shape(np.random.default_rng(99))
-        swapped = generate_sample(21, default_domain(0), 32, paired_shape=other_spec)
-        both = (base.mask > 0.5) & (swapped.mask > 0.5)
-        joint = np.broadcast_to(both, base.image.shape)
-        assert np.array_equal(base.image[joint], swapped.image[joint])
 
     def test_background_exact_outside_mask(self):
         for d in range(4):

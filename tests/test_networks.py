@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shapegan import autodiff as ad
+from shapegan.config import TrainConfig
 from shapegan.errors import ConfigurationError, UsageError
+from shapegan.evaluation import SmallClassifier
 from shapegan.networks import (
     FEATURE_CHANNELS,
     Critic,
@@ -14,8 +16,11 @@ from shapegan.networks import (
     Encoder,
     Interpolator,
     MaskNet,
+    feature_width,
     interpolate,
 )
+from shapegan.seeds import derive_seed
+from shapegan.trainer import build_nets
 
 
 def _images(n=2, c=3, s=32, seed=0):
@@ -25,8 +30,8 @@ def _images(n=2, c=3, s=32, seed=0):
 class TestShapes:
     def test_encoder_output(self):
         enc = Encoder.build(3, 32, seed=1)
-        assert enc.feature_shape == (FEATURE_CHANNELS, 8, 8)
         assert enc(_images()).shape == (2, FEATURE_CHANNELS, 8, 8)
+        assert feature_width(32) == FEATURE_CHANNELS * 8 * 8
 
     def test_encoder_16(self):
         enc = Encoder.build(3, 16, seed=1)
@@ -45,7 +50,7 @@ class TestShapes:
         assert net(d).shape == (2, 64, 8, 8)
 
     def test_critic_scores(self):
-        critic = Critic.for_feature_shape((64, 8, 8), seed=4)
+        critic = Critic.build(feature_width(32), seed=4)
         f = ad.as_tensor(np.random.default_rng(0).standard_normal((3, 64, 8, 8)))
         assert critic(f).shape == (3, 1)
 
@@ -193,7 +198,7 @@ class TestDescriptors:
     """Layer structure, read off parameter shapes and the ops a forward runs."""
 
     def test_critic_structure(self, monkeypatch):
-        critic = Critic.for_feature_shape((64, 8, 8), seed=0)
+        critic = Critic.build(feature_width(32), seed=0)
         dims = [critic.params[f"fc{i}.w"].shape for i in range(3)]
         assert dims == [(4096, 512), (512, 256), (256, 1)]
         acts = _spy(monkeypatch, "leaky_relu")
@@ -243,3 +248,58 @@ class TestSkipConnections:
         unet.params["dec1b.w"].data[:, 32:] = 0.0
         unet.params["dec0b.w"].data[:, 16:] = 0.0
         assert np.any(unet(x).data != with_skips)
+
+
+def _he_draws(seed, layers):
+    """He-normal weights drawn in declared order from one seeded generator,
+    each followed by its zero bias: the initialisation the networks promise."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    expected = []
+    for key, shape in layers:
+        fan_in = int(np.prod(shape[1:])) if len(shape) == 4 else shape[0]
+        expected.append((f"{key}.w", rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape)))
+        out = shape[0] if len(shape) == 4 else shape[1]
+        expected.append((f"{key}.b", np.zeros((out, 1, 1) if len(shape) == 4 else out)))
+    return expected
+
+
+def _conv_layer(key, out_ch, in_ch, k=3):
+    return key, (out_ch, in_ch, k, k)
+
+
+class TestInitializationIsPinned:
+    """Every parameter equals an independent redraw bitwise, so a change in
+    draw order, fan-in or layer order shows up here."""
+
+    NETS = {
+        "encoder": (101, [_conv_layer("conv0", 32, 3), _conv_layer("conv1", 64, 32)]),
+        "decoder": (102, [_conv_layer("conv0", 32, 64), _conv_layer("conv1", 16, 32),
+                          _conv_layer("conv_out", 3, 16)]),
+        "interpolator": (103, [_conv_layer("conv0", 64, 64), _conv_layer("conv1", 64, 64)]),
+        "critic": (104, [("fc0", (4096, 512)), ("fc1", (512, 256)), ("fc2", (256, 1))]),
+        "unet": (105, [_conv_layer("enc0", 16, 3), _conv_layer("enc1", 32, 16),
+                       _conv_layer("enc2", 64, 32), _conv_layer("dec1a", 32, 64),
+                       _conv_layer("dec1b", 32, 64), _conv_layer("dec0a", 16, 32),
+                       _conv_layer("dec0b", 16, 32), _conv_layer("out", 1, 16, 1)]),
+    }
+
+    @staticmethod
+    def _assert_bitwise(params, expected):
+        assert params.names() == [name for name, _ in expected]
+        for name, want in expected:
+            got = params[name].data
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+
+    @pytest.mark.parametrize("seed", [0, 17])
+    def test_build_nets(self, seed):
+        nets = build_nets(TrainConfig(), 3, seed)
+        for name, (salt, layers) in self.NETS.items():
+            self._assert_bitwise(getattr(nets, name).params,
+                                 _he_draws(derive_seed(seed, salt), layers))
+
+    @pytest.mark.parametrize("seed", [0, 17])
+    def test_small_classifier(self, seed):
+        clf = SmallClassifier.build(3, 32, 4, seed)
+        layers = [_conv_layer("conv0", 16, 3), _conv_layer("conv1", 32, 16),
+                  _conv_layer("conv2", 64, 32), ("head", (64 * 4 * 4, 4))]
+        self._assert_bitwise(clf.params, _he_draws(seed, layers))

@@ -12,7 +12,6 @@ from shapegan.errors import ConfigurationError, UsageError
 from shapegan.gradcheck import loss_checks
 from shapegan.networks import Critic, MaskNet
 from shapegan.objectives import (
-    FeatureBatchPair,
     dice_loss,
     gradient_penalty,
     loss_critic,
@@ -97,8 +96,7 @@ class TestCriticLoss:
         critic.params["fc0.w"].data[...] = w
         real = np.array([[1.0, 2.0], [3.0, -1.0]])
         fake = np.array([[0.0, 1.0], [2.0, 2.0]])
-        pair = FeatureBatchPair(ad.as_tensor(real), ad.as_tensor(fake))
-        loss = loss_critic(pair, critic, np.array([0.3, 0.7]), lambda_gp=10.0)
+        loss = loss_critic(real, fake, critic, np.array([0.3, 0.7]), lambda_gp=10.0)
         expected = np.mean(fake @ w) - np.mean(real @ w)
         assert loss.item() == pytest.approx(expected, abs=1e-12)
 
@@ -107,10 +105,8 @@ class TestCriticLoss:
         critic = Critic.build(3, hidden=(), seed=0)
         critic.params["fc0.w"].data[...] = np.zeros((3, 1))
         rng = np.random.default_rng(2)
-        pair = FeatureBatchPair(
-            ad.as_tensor(rng.random((4, 3))), ad.as_tensor(rng.random((4, 3)))
-        )
-        loss = loss_critic(pair, critic, rng.random(4), lambda_gp=10.0)
+        real, fake = rng.random((4, 3)), rng.random((4, 3))
+        loss = loss_critic(real, fake, critic, rng.random(4), lambda_gp=10.0)
         assert loss.item() == pytest.approx(10.0, abs=1e-12)
 
     def test_penalty_is_nonnegative(self):
@@ -132,10 +128,11 @@ class TestCriticLoss:
             gradient_penalty(critic, real, fake, np.array([0.5, 1.5, 0.2]))
 
     def test_pair_shape_validation(self):
+        # rejected even when the penalty, which checks shapes too, is off
+        critic = Critic.build(3, hidden=(), seed=0)
         with pytest.raises(ConfigurationError):
-            FeatureBatchPair(
-                ad.as_tensor(np.ones((2, 3))), ad.as_tensor(np.ones((2, 4)))
-            )
+            loss_critic(np.ones((2, 3)), np.ones((2, 4)), critic,
+                        np.array([0.5, 0.5]), lambda_gp=0.0)
 
     def test_generator_term_is_negated_mean_score(self):
         critic = Critic.build(2, hidden=(), seed=0)
@@ -151,8 +148,7 @@ class TestCriticLoss:
         critic.params["fc0.w"].data[...] = np.zeros((2, 1))
         real = np.array([[1.0, 0.0]])
         fake = np.array([[-1.0, 0.0]])
-        pair = FeatureBatchPair(ad.as_tensor(real), ad.as_tensor(fake))
-        loss = loss_critic(pair, critic, np.array([0.5]), lambda_gp=0.0)
+        loss = loss_critic(real, fake, critic, np.array([0.5]), lambda_gp=0.0)
         (gw, _) = backward(loss, critic.params.tensors())
         # d loss / d w = mean(fake) - mean(real) = [-2, 0]
         np.testing.assert_allclose(gw.data, np.array([[-2.0], [0.0]]), atol=1e-12)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from shapegan import trainer
+from shapegan.checkpoint import load_checkpoint, save_checkpoint
 from shapegan.config import TrainConfig
 from shapegan.errors import ConfigurationError, DataError, TrainingAborted
 from shapegan.trainer import (
@@ -18,7 +19,6 @@ from shapegan.trainer import (
     load_state,
     reconstruction_step,
     run_training,
-    save_state,
     state_to_blob,
     trace_to_text,
     unet_step,
@@ -26,7 +26,8 @@ from shapegan.trainer import (
 
 
 def snap_all(nets):
-    return {name: ps.snapshot() for name, ps in nets.param_sets().items()}
+    return {name: {k: t.data.copy() for k, t in ps.items()}
+            for name, ps in nets.param_sets().items()}
 
 
 def changed_nets(before, after):
@@ -208,7 +209,8 @@ class TestCheckpointing:
 
     def test_state_round_trip(self, tiny_dataset, micro_config, tmp_path):
         result = run_training(tiny_dataset, micro_config)
-        path = save_state(tmp_path / "s.sgck", result.state, micro_config)
+        path = save_checkpoint(tmp_path / "s.sgck",
+                               state_to_blob(result.state, micro_config))
         state, config = load_state(path)
         assert config == micro_config
         assert state.iteration == result.state.iteration
@@ -365,6 +367,52 @@ class TestEarlyStop:
         monkeypatch.setattr(trainer, "_EARLY_STOP_DELTA", float("inf"))
         result = run_training(tiny_dataset, micro_config)
         assert len(result.trace_rows) == micro_config.max_iterations
+
+    def test_resume_keeps_the_window(
+        self, tiny_dataset, micro_config, monkeypatch, tmp_path
+    ):
+        # with a window of 1 the loop stops once two iterations exist; a
+        # resume from the first checkpoint must stop where the straight run did
+        monkeypatch.setattr(trainer, "_EARLY_STOP_WINDOW", 1)
+        monkeypatch.setattr(trainer, "_EARLY_STOP_DELTA", float("inf"))
+        cfg = dataclasses.replace(micro_config, max_iterations=50,
+                                  checkpoint_every=1, early_stop=True)
+        straight = run_training(tiny_dataset, cfg, out_dir=tmp_path / "a")
+        assert straight.state.iteration == 2
+        blob = load_checkpoint(tmp_path / "a" / "ckpt_000001.sgck")
+        resumed = run_training(tiny_dataset, cfg, out_dir=tmp_path / "b",
+                               resume=blob)
+        assert resumed.state.iteration == 2
+        assert resumed.trace_rows == straight.trace_rows[1:]
+        assert resumed.state.recon_history == straight.state.recon_history
+
+    @staticmethod
+    def _state(config, dataset):
+        nets, adam = fresh(config, dataset)
+        rng = np.random.Generator(np.random.PCG64(0))
+        return trainer.TrainerState(nets, adam, rng, 2, [0.5, 0.25])
+
+    @pytest.mark.parametrize("window", [None, np.array([[0.1]]),
+                                        np.array([0.1, np.nan])])
+    def test_malformed_window_is_rejected(self, tiny_dataset, micro_config,
+                                          window):
+        cfg = dataclasses.replace(micro_config, early_stop=True)
+        blob = state_to_blob(self._state(cfg, tiny_dataset), cfg)
+        if window is None:
+            del blob.tensors["early_stop/recon"]
+        else:
+            blob.tensors["early_stop/recon"] = window
+        with pytest.raises(DataError):
+            trainer.blob_to_state(blob)
+
+    def test_window_is_stored_only_when_enabled(self, tiny_dataset, micro_config):
+        state = self._state(micro_config, tiny_dataset)
+        blob = state_to_blob(state, micro_config)
+        assert "early_stop/recon" not in blob.tensors
+        assert trainer.blob_to_state(blob)[0].recon_history == []
+        cfg = dataclasses.replace(micro_config, early_stop=True)
+        loaded, _ = trainer.blob_to_state(state_to_blob(state, cfg))
+        assert loaded.recon_history == [0.5, 0.25]
 
 
 class TestTraceFormat:
