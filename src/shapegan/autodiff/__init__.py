@@ -13,7 +13,6 @@ from .ops import (
     broadcast_to,
     channel_slice,
     concat_channels,
-    detach,
     div,
     exp,
     l2_norm_per_row,
@@ -34,7 +33,7 @@ from .ops import (
     transpose,
 )
 from .params import ParamSet
-from .tensor import Tensor, backward, is_recording, no_grad, variable
+from .tensor import Tensor, backward, no_grad, variable
 
 __all__ = [
     "AdamState",
@@ -51,10 +50,8 @@ __all__ = [
     "conv2d",
     "conv_kernel_grad",
     "conv_transpose2d",
-    "detach",
     "div",
     "exp",
-    "is_recording",
     "l2_norm_per_row",
     "leaky_relu",
     "log",

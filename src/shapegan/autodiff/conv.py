@@ -10,6 +10,7 @@ im2col buffers and BLAS matmul.
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from ..errors import ConfigurationError
 from .ops import _result, as_tensor
@@ -56,13 +57,12 @@ def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int) -> np.ndarra
     n, c, h, w = x.shape
     ho, wo = _out_hw(h, w, kh, kw, stride, pad)
     xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
-    cols = np.empty((n, c, kh, kw, ho, wo), dtype=np.float64)
-    for i in range(kh):
-        for j in range(kw):
-            cols[:, :, i, j] = xp[
-                :, :, i : i + stride * ho : stride, j : j + stride * wo : stride
-            ]
-    return cols
+    sn, sc, sh, sw = xp.strides
+    windows = as_strided(
+        xp, (n, c, kh, kw, ho, wo), (sn, sc, sh, sw, stride * sh, stride * sw),
+        writeable=False,
+    )
+    return np.ascontiguousarray(windows)
 
 
 def _col2im(
@@ -96,23 +96,20 @@ def conv2d(x, kernel, stride: int = 1, pad: int = 0) -> Tensor:
     kmat = kernel.data.reshape(f, c * kh * kw)
     data = np.matmul(kmat, cols).reshape(n, f, ho, wo)
 
-    out, rec = _result("conv2d", data, (x, kernel))
-    if rec:
-        def vjp(g):
-            gx = (
-                conv_transpose2d(g, kernel, stride, pad, out_hw=(h, w))
-                if x.requires_grad
-                else None
-            )
-            gk = (
-                conv_kernel_grad(x, g, kh, kw, stride, pad)
-                if kernel.requires_grad
-                else None
-            )
-            return (gx, gk)
+    def vjp(g, out):
+        gx = (
+            conv_transpose2d(g, kernel, stride, pad, out_hw=(h, w))
+            if x.requires_grad
+            else None
+        )
+        gk = (
+            conv_kernel_grad(x, g, kh, kw, stride, pad)
+            if kernel.requires_grad
+            else None
+        )
+        return (gx, gk)
 
-        out.vjp = vjp
-    return out
+    return _result("conv2d", data, (x, kernel), vjp)
 
 
 def conv_transpose2d(
@@ -140,19 +137,16 @@ def conv_transpose2d(
     cols = np.matmul(kmat.T, vmat).reshape(n, c, kh, kw, hv, wv)
     data = _col2im(cols, h, w, stride, pad)
 
-    out, rec = _result("conv_transpose2d", data, (v, kernel))
-    if rec:
-        def vjp(g):
-            gv = conv2d(g, kernel, stride, pad) if v.requires_grad else None
-            gk = (
-                conv_kernel_grad(g, v, kh, kw, stride, pad)
-                if kernel.requires_grad
-                else None
-            )
-            return (gv, gk)
+    def vjp(g, out):
+        gv = conv2d(g, kernel, stride, pad) if v.requires_grad else None
+        gk = (
+            conv_kernel_grad(g, v, kh, kw, stride, pad)
+            if kernel.requires_grad
+            else None
+        )
+        return (gv, gk)
 
-        out.vjp = vjp
-    return out
+    return _result("conv_transpose2d", data, (v, kernel), vjp)
 
 
 def conv_kernel_grad(
@@ -177,17 +171,14 @@ def conv_kernel_grad(
     # batched (f, howo) @ (howo, ckk), summed over the batch
     data = np.matmul(gmat, cols.transpose(0, 2, 1)).sum(axis=0).reshape(f, c, kh, kw)
 
-    out, rec = _result("conv_kernel_grad", data, (x, cot))
-    if rec:
-        def vjp(g):
-            # d/dx <conv_kernel_grad(x, v), g> = conv_transpose2d(v, g)
-            gx = (
-                conv_transpose2d(cot, g, stride, pad, out_hw=(h, w))
-                if x.requires_grad
-                else None
-            )
-            gv = conv2d(x, g, stride, pad) if cot.requires_grad else None
-            return (gx, gv)
+    def vjp(g, out):
+        # d/dx <conv_kernel_grad(x, v), g> = conv_transpose2d(v, g)
+        gx = (
+            conv_transpose2d(cot, g, stride, pad, out_hw=(h, w))
+            if x.requires_grad
+            else None
+        )
+        gv = conv2d(x, g, stride, pad) if cot.requires_grad else None
+        return (gx, gv)
 
-        out.vjp = vjp
-    return out
+    return _result("conv_kernel_grad", data, (x, cot), vjp)

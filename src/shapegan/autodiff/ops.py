@@ -1,7 +1,12 @@
 """Differentiable primitives on :class:`Tensor`.
 
-Every backward rule below is written with these same primitives, which keeps
-the whole set closed under differentiation. Outputs are checked for NaN/Inf;
+Every primitive computes its output, defines its backward rule as
+``vjp(g, out)`` and returns ``_result(...)``, the one way onto the tape.
+The rule receives its output as an argument rather than closing over it, so
+no tape node references itself and a tape is freed by reference counting.
+Values only the backward pass needs are recomputed there from the inputs.
+Every backward rule is written with these same primitives, which keeps the
+whole set closed under differentiation. Outputs are checked for NaN/Inf;
 a violation raises :class:`NumericError` immediately rather than letting bad
 values propagate.
 """
@@ -13,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from ..errors import ConfigurationError, NumericError, UsageError
-from .tensor import Tensor, _fresh, is_recording
+from .tensor import _GRAD_MODE, Tensor, _fresh
 
 
 def as_tensor(x) -> Tensor:
@@ -23,19 +28,18 @@ def as_tensor(x) -> Tensor:
     return Tensor(np.asarray(x, dtype=np.float64))
 
 
-def _result(op: str, data, inputs: tuple[Tensor, ...]) -> tuple[Tensor, bool]:
+def _result(op: str, data, inputs: tuple[Tensor, ...], vjp) -> Tensor:
+    """The output of ``op``, recorded with ``inputs`` and ``vjp`` while
+    recording is on and an input requires grad."""
     arr = np.asarray(data, dtype=np.float64)
     # One-pass screen: any NaN/Inf makes the sum non-finite. A non-finite sum
     # of finite values (overflow) is possible, so confirm elementwise before
     # raising.
     if not np.isfinite(arr.sum()) and not np.all(np.isfinite(arr)):
         raise NumericError(f"{op} produced non-finite values")
-    out = _fresh(arr)
-    if is_recording() and any(i.requires_grad for i in inputs):
-        out.requires_grad = True
-        out.parents = inputs
-        return out, True
-    return out, False
+    if _GRAD_MODE[-1] and any(i.requires_grad for i in inputs):
+        return _fresh(arr, inputs, vjp)
+    return _fresh(arr)
 
 
 def _binary_data(op: str, a: Tensor, b: Tensor, fn) -> np.ndarray:
@@ -66,35 +70,32 @@ def _sum_to(g: Tensor, shape: tuple[int, ...]) -> Tensor:
 
 def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    out, rec = _result("add", _binary_data("add", a, b, np.add), (a, b))
-    if rec:
-        def vjp(g):
-            return (_sum_to(g, a.shape), _sum_to(g, b.shape))
-        out.vjp = vjp
-    return out
+
+    def vjp(g, out):
+        return (_sum_to(g, a.shape), _sum_to(g, b.shape))
+
+    return _result("add", _binary_data("add", a, b, np.add), (a, b), vjp)
 
 
 def sub(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    out, rec = _result("sub", _binary_data("sub", a, b, np.subtract), (a, b))
-    if rec:
-        def vjp(g):
-            return (_sum_to(g, a.shape), _sum_to(neg(g), b.shape))
-        out.vjp = vjp
-    return out
+
+    def vjp(g, out):
+        return (_sum_to(g, a.shape), _sum_to(neg(g), b.shape))
+
+    return _result("sub", _binary_data("sub", a, b, np.subtract), (a, b), vjp)
 
 
 def mul(a, b) -> Tensor:
     """Elementwise product with numpy broadcasting."""
     a, b = as_tensor(a), as_tensor(b)
-    out, rec = _result("mul", _binary_data("mul", a, b, np.multiply), (a, b))
-    if rec:
-        def vjp(g):
-            ga = _sum_to(mul(g, b), a.shape) if a.requires_grad else None
-            gb = _sum_to(mul(g, a), b.shape) if b.requires_grad else None
-            return (ga, gb)
-        out.vjp = vjp
-    return out
+
+    def vjp(g, out):
+        ga = _sum_to(mul(g, b), a.shape) if a.requires_grad else None
+        gb = _sum_to(mul(g, a), b.shape) if b.requires_grad else None
+        return (ga, gb)
+
+    return _result("mul", _binary_data("mul", a, b, np.multiply), (a, b), vjp)
 
 
 def scalar_mul(x, c: float) -> Tensor:
@@ -106,64 +107,48 @@ def div(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     if np.any(b.data == 0.0):
         raise NumericError("division by zero")
-    out, rec = _result("div", _binary_data("div", a, b, np.divide), (a, b))
-    if rec:
-        def vjp(g):
-            ga = _sum_to(div(g, b), a.shape) if a.requires_grad else None
-            gb = (
-                _sum_to(neg(div(mul(g, out), b)), b.shape)
-                if b.requires_grad
-                else None
-            )
-            return (ga, gb)
-        out.vjp = vjp
-    return out
+
+    def vjp(g, out):
+        ga = _sum_to(div(g, b), a.shape) if a.requires_grad else None
+        gb = _sum_to(neg(div(mul(g, out), b)), b.shape) if b.requires_grad else None
+        return (ga, gb)
+
+    return _result("div", _binary_data("div", a, b, np.divide), (a, b), vjp)
 
 
 def neg(x) -> Tensor:
     x = as_tensor(x)
-    out, rec = _result("neg", -x.data, (x,))
-    if rec:
-        out.vjp = lambda g: (neg(g),)
-    return out
+    return _result("neg", -x.data, (x,), lambda g, out: (neg(g),))
 
 
 def square(x) -> Tensor:
     x = as_tensor(x)
-    out, rec = _result("square", np.square(x.data), (x,))
-    if rec:
-        out.vjp = lambda g: (mul(mul(g, x), 2.0),)
-    return out
+    return _result(
+        "square", np.square(x.data), (x,), lambda g, out: (mul(mul(g, x), 2.0),)
+    )
 
 
 def sqrt(x) -> Tensor:
     x = as_tensor(x)
     if np.any(x.data < 0.0):
         raise NumericError("sqrt of negative value")
-    out, rec = _result("sqrt", np.sqrt(x.data), (x,))
-    if rec:
-        out.vjp = lambda g: (div(mul(g, 0.5), out),)
-    return out
+    return _result(
+        "sqrt", np.sqrt(x.data), (x,), lambda g, out: (div(mul(g, 0.5), out),)
+    )
 
 
 def exp(x) -> Tensor:
     x = as_tensor(x)
     with np.errstate(over="ignore"):
         data = np.exp(x.data)
-    out, rec = _result("exp", data, (x,))
-    if rec:
-        out.vjp = lambda g: (mul(g, out),)
-    return out
+    return _result("exp", data, (x,), lambda g, out: (mul(g, out),))
 
 
 def log(x) -> Tensor:
     x = as_tensor(x)
     if np.any(x.data <= 0.0):
         raise NumericError("log of non-positive value")
-    out, rec = _result("log", np.log(x.data), (x,))
-    if rec:
-        out.vjp = lambda g: (div(g, x),)
-    return out
+    return _result("log", np.log(x.data), (x,), lambda g, out: (div(g, x),))
 
 
 # ---------------------------------------------------------------------------
@@ -172,11 +157,11 @@ def log(x) -> Tensor:
 def leaky_relu(x, slope: float = 0.2) -> Tensor:
     x = as_tensor(x)
     data = np.where(x.data > 0.0, x.data, slope * x.data)
-    out, rec = _result("leaky_relu", data, (x,))
-    if rec:
-        mask = _fresh(np.where(x.data > 0.0, 1.0, slope))
-        out.vjp = lambda g: (mul(g, mask),)
-    return out
+
+    def vjp(g, out):
+        return (mul(g, _fresh(np.where(x.data > 0.0, 1.0, slope))),)
+
+    return _result("leaky_relu", data, (x,), vjp)
 
 
 def sigmoid(x) -> Tensor:
@@ -187,14 +172,15 @@ def sigmoid(x) -> Tensor:
     data[pos] = 1.0 / (1.0 + np.exp(-d[pos]))
     e = np.exp(d[~pos])
     data[~pos] = e / (1.0 + e)
-    out, rec = _result("sigmoid", data, (x,))
-    if rec:
+
+    def vjp(g, out):
         # derivative written as sigmoid(x) * sigmoid(-x): the usual
         # out * (1 - out) form rounds to an exact zero once a logit passes
         # ~37 and the unit then never recovers; this form keeps a subnormal
         # but nonzero slope on both tails
-        out.vjp = lambda g: (mul(g, mul(out, sigmoid(neg(x)))),)
-    return out
+        return (mul(g, mul(out, sigmoid(neg(x)))),)
+
+    return _result("sigmoid", data, (x,), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -210,24 +196,20 @@ def matmul(a, b) -> Tensor:
         raise ConfigurationError(
             f"matmul inner dimensions differ: {a.shape} @ {b.shape}"
         )
-    out, rec = _result("matmul", a.data @ b.data, (a, b))
-    if rec:
-        def vjp(g):
-            ga = matmul(g, transpose(b)) if a.requires_grad else None
-            gb = matmul(transpose(a), g) if b.requires_grad else None
-            return (ga, gb)
-        out.vjp = vjp
-    return out
+
+    def vjp(g, out):
+        ga = matmul(g, transpose(b)) if a.requires_grad else None
+        gb = matmul(transpose(a), g) if b.requires_grad else None
+        return (ga, gb)
+
+    return _result("matmul", a.data @ b.data, (a, b), vjp)
 
 
 def transpose(x) -> Tensor:
     x = as_tensor(x)
     if x.ndim != 2:
         raise ConfigurationError(f"transpose expects a matrix, got {x.shape}")
-    out, rec = _result("transpose", x.data.T, (x,))
-    if rec:
-        out.vjp = lambda g: (transpose(g),)
-    return out
+    return _result("transpose", x.data.T, (x,), lambda g, out: (transpose(g),))
 
 
 def reshape(x, shape: Sequence[int]) -> Tensor:
@@ -238,11 +220,7 @@ def reshape(x, shape: Sequence[int]) -> Tensor:
         raise ConfigurationError(
             f"cannot reshape {x.shape} to {tuple(shape)}"
         ) from exc
-    out, rec = _result("reshape", data, (x,))
-    if rec:
-        orig = x.shape
-        out.vjp = lambda g: (reshape(g, orig),)
-    return out
+    return _result("reshape", data, (x,), lambda g, out: (reshape(g, x.shape),))
 
 
 def broadcast_to(x, shape: Sequence[int]) -> Tensor:
@@ -253,11 +231,7 @@ def broadcast_to(x, shape: Sequence[int]) -> Tensor:
         raise ConfigurationError(
             f"cannot broadcast {x.shape} to {tuple(shape)}"
         ) from exc
-    out, rec = _result("broadcast_to", data, (x,))
-    if rec:
-        orig = x.shape
-        out.vjp = lambda g: (_sum_to(g, orig),)
-    return out
+    return _result("broadcast_to", data, (x,), lambda g, out: (_sum_to(g, x.shape),))
 
 
 def _normalize_axes(axis, ndim: int) -> tuple[int, ...]:
@@ -276,16 +250,12 @@ def sum(x, axis=None, keepdims: bool = False) -> Tensor:  # noqa: A001
     x = as_tensor(x)
     axes = _normalize_axes(axis, x.ndim)
     data = x.data.sum(axis=axes or None, keepdims=keepdims)
-    out, rec = _result("sum", data, (x,))
-    if rec:
-        orig = x.shape
 
-        def vjp(g):
-            gg = g if keepdims else reshape(g, _keepdims_shape(orig, axes))
-            return (broadcast_to(gg, orig),)
+    def vjp(g, out):
+        gg = g if keepdims else reshape(g, _keepdims_shape(x.shape, axes))
+        return (broadcast_to(gg, x.shape),)
 
-        out.vjp = vjp
-    return out
+    return _result("sum", data, (x,), vjp)
 
 
 def mean(x, axis=None, keepdims: bool = False) -> Tensor:
@@ -297,17 +267,12 @@ def mean(x, axis=None, keepdims: bool = False) -> Tensor:
     if count == 0:
         raise ConfigurationError("mean over an empty axis")
     data = x.data.mean(axis=axes or None, keepdims=keepdims)
-    out, rec = _result("mean", data, (x,))
-    if rec:
-        orig = x.shape
-        inv = 1.0 / count
 
-        def vjp(g):
-            gg = g if keepdims else reshape(g, _keepdims_shape(orig, axes))
-            return (broadcast_to(mul(gg, inv), orig),)
+    def vjp(g, out):
+        gg = g if keepdims else reshape(g, _keepdims_shape(x.shape, axes))
+        return (broadcast_to(mul(gg, 1.0 / count), x.shape),)
 
-        out.vjp = vjp
-    return out
+    return _result("mean", data, (x,), vjp)
 
 
 def l2_norm_per_row(x) -> Tensor:
@@ -328,10 +293,7 @@ def nearest_upsample2x(x) -> Tensor:
     if x.ndim != 4:
         raise ConfigurationError(f"nearest_upsample2x expects NCHW, got {x.shape}")
     data = x.data.repeat(2, axis=2).repeat(2, axis=3)
-    out, rec = _result("nearest_upsample2x", data, (x,))
-    if rec:
-        out.vjp = lambda g: (block_sum2x(g),)
-    return out
+    return _result("nearest_upsample2x", data, (x,), lambda g, out: (block_sum2x(g),))
 
 
 def block_sum2x(x) -> Tensor:
@@ -343,10 +305,7 @@ def block_sum2x(x) -> Tensor:
         )
     n, c, h, w = x.shape
     data = x.data.reshape(n, c, h // 2, 2, w // 2, 2).sum(axis=(3, 5))
-    out, rec = _result("block_sum2x", data, (x,))
-    if rec:
-        out.vjp = lambda g: (nearest_upsample2x(g),)
-    return out
+    return _result("block_sum2x", data, (x,), lambda g, out: (nearest_upsample2x(g),))
 
 
 def concat_channels(parts: Sequence) -> Tensor:
@@ -361,22 +320,17 @@ def concat_channels(parts: Sequence) -> Tensor:
                 f"concat_channels shape mismatch: {[t.shape for t in ts]}"
             )
     data = np.concatenate([t.data for t in ts], axis=1)
-    out, rec = _result("concat_channels", data, tuple(ts))
-    if rec:
-        sizes = [t.shape[1] for t in ts]
 
-        def vjp(g):
-            grads = []
-            off = 0
-            for t, c in zip(ts, sizes):
-                grads.append(
-                    channel_slice(g, off, off + c) if t.requires_grad else None
-                )
-                off += c
-            return tuple(grads)
+    def vjp(g, out):
+        grads = []
+        off = 0
+        for t in ts:
+            c = t.shape[1]
+            grads.append(channel_slice(g, off, off + c) if t.requires_grad else None)
+            off += c
+        return tuple(grads)
 
-        out.vjp = vjp
-    return out
+    return _result("concat_channels", data, tuple(ts), vjp)
 
 
 def channel_slice(x, start: int, stop: int) -> Tensor:
@@ -389,22 +343,15 @@ def channel_slice(x, start: int, stop: int) -> Tensor:
             f"channel_slice range [{start}, {stop}) out of bounds for {x.shape}"
         )
     data = np.ascontiguousarray(x.data[:, start:stop])
-    out, rec = _result("channel_slice", data, (x,))
-    if rec:
+
+    def vjp(g, out):
         n, c, h, w = x.shape
+        pieces = []
+        if start > 0:
+            pieces.append(_fresh(np.zeros((n, start, h, w))))
+        pieces.append(g)
+        if stop < c:
+            pieces.append(_fresh(np.zeros((n, c - stop, h, w))))
+        return (concat_channels(pieces) if len(pieces) > 1 else g,)
 
-        def vjp(g):
-            pieces = []
-            if start > 0:
-                pieces.append(_fresh(np.zeros((n, start, h, w))))
-            pieces.append(g)
-            if stop < c:
-                pieces.append(_fresh(np.zeros((n, c - stop, h, w))))
-            return (concat_channels(pieces) if len(pieces) > 1 else g,)
-
-        out.vjp = vjp
-    return out
-
-
-def detach(x) -> Tensor:
-    return as_tensor(x).detach()
+    return _result("channel_slice", data, (x,), vjp)

@@ -1,8 +1,11 @@
 """Tensors and the reverse-mode differentiation tape.
 
 Values are 64-bit numpy buffers. A recorded tensor keeps references to its
-inputs plus a vector-Jacobian-product closure; the closures are written in
-terms of recorded operations themselves, so a gradient produced by
+inputs (``parents``) plus a vector-Jacobian product ``vjp(g, out)``, which
+``backward`` calls with the node itself as ``out``. A vjp never holds its own
+output, so no tape node references itself and a tape is freed by reference
+counting as soon as its last tensor goes. The vjps are written in terms of
+recorded operations themselves, so a gradient produced by
 ``backward(..., higher_order=True)`` is again differentiable. That
 re-entrancy is what makes double backward (the gradient penalty) work
 without any special casing.
@@ -19,10 +22,6 @@ from ..errors import NumericError, UsageError
 
 # Recording mode stack; the top entry is the active mode.
 _GRAD_MODE: list[bool] = [True]
-
-
-def is_recording() -> bool:
-    return _GRAD_MODE[-1]
 
 
 @contextmanager
@@ -44,10 +43,10 @@ class Tensor:
 
     Leaves come in two kinds: constants (``requires_grad=False``) and
     differentiable leaves such as parameters. Operation outputs carry
-    ``parents`` and ``vjp`` only while recording is enabled and at least one
-    input is differentiable. ``data`` buffers are treated as immutable by
-    every operation; the optimizer mutates leaf buffers in place strictly
-    between tapes.
+    ``parents`` and ``vjp(g, out)`` only while recording is enabled and at
+    least one input is differentiable. ``data`` buffers are treated as
+    immutable by every operation; the optimizer mutates leaf buffers in place
+    strictly between tapes.
     """
 
     __slots__ = ("data", "parents", "vjp", "requires_grad")
@@ -87,13 +86,14 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}{flag})"
 
 
-def _fresh(arr: np.ndarray) -> Tensor:
-    # Construct without re-running the constructor's finite check.
+def _fresh(arr: np.ndarray, parents: tuple[Tensor, ...] = (), vjp=None) -> Tensor:
+    # Construct without re-running the constructor's finite check; a tensor
+    # with a vjp is a recorded node.
     t = object.__new__(Tensor)
     t.data = arr
-    t.parents = ()
-    t.vjp = None
-    t.requires_grad = False
+    t.parents = parents
+    t.vjp = vjp
+    t.requires_grad = vjp is not None
     return t
 
 
@@ -164,7 +164,7 @@ def backward(
                     results[id(node)] = g
                 if node.vjp is None:
                     continue
-                parent_grads = node.vjp(g)
+                parent_grads = node.vjp(g, node)
                 for parent, pg in zip(node.parents, parent_grads):
                     if pg is None or not parent.requires_grad:
                         continue

@@ -4,7 +4,9 @@ Every check compares an analytic gradient against central differences with
 step 1e-5, reporting the elementwise relative error
 ``|a - n| / max(1, |n|)``. Primitive checks must pass at 1e-6, composite
 loss checks at 1e-5, and the second-order check (gradient of a
-gradient-norm penalty) at 1e-5.
+gradient-norm penalty) at 1e-5. A check whose finite-difference gradients
+are all exactly zero fails: it cannot tell a right backward rule from one
+that returns zeros.
 """
 
 from __future__ import annotations
@@ -75,6 +77,15 @@ def relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     return float(np.max(np.abs(analytic - numeric) / denom)) if analytic.size else 0.0
 
 
+def max_error(analytic: Sequence[np.ndarray], numeric: Sequence[np.ndarray]) -> float:
+    """Largest relative error over a check's arrays; ``inf`` when every
+    finite-difference gradient is exactly zero, since a zero gradient matches
+    any backward rule that also returns zero and so tests nothing."""
+    if not any(np.any(n) for n in numeric):
+        return float("inf")
+    return max(relative_error(a, n) for a, n in zip(analytic, numeric))
+
+
 def check_scalar_function(
     name: str,
     build: Callable[[Sequence[Tensor]], Tensor],
@@ -90,9 +101,7 @@ def check_scalar_function(
         return build(consts).item()
 
     numeric = fd_gradients(numeric_eval, arrays)
-    err = max(relative_error(a.data if isinstance(a, Tensor) else a, n)
-              for a, n in zip(analytic, numeric))
-    return CheckResult(name, err, tolerance)
+    return CheckResult(name, max_error([a.data for a in analytic], numeric), tolerance)
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -334,27 +343,30 @@ def _second_order_results():
     critic = Critic.build(8, hidden=(6,), seed=13)
     base = rng.standard_normal((3, 8)) * 0.7
 
+    def penalty_at(point: Tensor, blend: Tensor) -> Tensor:
+        """Penalty on the norm of the critic's gradient at ``blend``, taken
+        wrt ``point``; ``blend`` is ``point`` or a function of it."""
+        (g,) = backward(ad.sum(critic(blend)), [point], higher_order=True)
+        return ad.mean(ad.square(ad.sub(ad.l2_norm_per_row(g), 1.0)))
+
     def penalty_from(blend_data: np.ndarray) -> Tensor:
         blend = variable(np.array(blend_data))
-        scores = critic(blend)
-        (g,) = backward(ad.sum(scores), [blend], higher_order=True)
-        norms = ad.l2_norm_per_row(g)
-        return ad.mean(ad.square(ad.sub(norms, 1.0)))
+        return penalty_at(blend, blend)
 
-    # d penalty / d blend point
-    blend_leaf = variable(base.copy())
-    scores = critic(blend_leaf)
-    (g,) = backward(ad.sum(scores), [blend_leaf], higher_order=True)
-    penalty = ad.mean(ad.square(ad.sub(ad.l2_norm_per_row(g), 1.0)))
-    (analytic,) = backward(penalty, [blend_leaf])
+    # d penalty / d blend point. The critic is piecewise linear, so its input
+    # gradient is flat in the point; squashing the point through a sigmoid
+    # first makes that gradient, and so the penalty, vary with it.
+    def squashed_penalty(point: Tensor) -> Tensor:
+        return penalty_at(point, ad.sigmoid(point))
 
-    def numeric_eval(arrs):
-        return penalty_from(arrs[0]).item()
-
-    (numeric,) = fd_gradients(numeric_eval, [base.copy()])
+    point = variable(base)
+    (analytic,) = backward(squashed_penalty(point), [point])
+    (numeric,) = fd_gradients(
+        lambda arrs: squashed_penalty(variable(arrs[0])).item(), [base]
+    )
     yield CheckResult(
         "second_order wrt blend point",
-        relative_error(analytic.data, numeric),
+        max_error([analytic.data], [numeric]),
         TOL_SECOND_ORDER,
     )
 

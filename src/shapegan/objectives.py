@@ -119,9 +119,9 @@ def loss_shape(
     pred = mask_net(interp_images)
     if reference_mask is None:
         with no_grad():
-            ref = mask_net(ad.detach(source_images))
+            ref = mask_net(source_images.detach())
     else:
-        ref = ad.detach(ad.as_tensor(reference_mask))
+        ref = ad.as_tensor(reference_mask).detach()
     return dice_loss(pred, ref)
 
 

@@ -1,13 +1,17 @@
 """Differentiating through gradients: the machinery behind the penalty term."""
 
+import gc
+
 import numpy as np
 import pytest
 
 from shapegan import autodiff as ad
-from shapegan.autodiff import backward, variable
+from shapegan.autodiff import Tensor, backward, variable
+from shapegan.config import TrainConfig
 from shapegan.gradcheck import second_order_checks
 from shapegan.networks import Critic
 from shapegan.objectives import gradient_penalty
+from shapegan.trainer import build_adam, build_nets, generator_step
 
 
 def test_gradient_of_gradient_of_cube():
@@ -66,3 +70,40 @@ def test_higher_order_flag_keeps_graph_through_nonlinearity():
     norm_pen = ad.mean(ad.square(ad.sub(ad.l2_norm_per_row(g), 1.0)))
     grads = backward(norm_pen, critic.params.tensors())
     assert any(np.any(gr.data != 0.0) for gr in grads)
+
+
+def _higher_order_through_self_referencing_ops():
+    x = variable(np.array([0.3, -0.7, 1.2]))
+    y = ad.div(ad.log(ad.sqrt(ad.exp(ad.sigmoid(x)))), ad.add(ad.square(x), 2.0))
+    (g,) = backward(ad.sum(y), [x], higher_order=True)
+    (gg,) = backward(ad.sum(ad.square(g)), [x])
+    assert np.all(gg.data != 0.0)
+
+
+def _one_generator_step():
+    config = TrainConfig(batch_size=2)
+    nets = build_nets(config, 3, 4)
+    rng = np.random.default_rng(5)
+    images = rng.random((4, 3, 32, 32))
+    generator_step(images[:2], images[2:], nets, config, build_adam(config, nets), rng)
+
+
+def test_tape_is_freed_without_the_cycle_collector():
+    # the sigmoid, exp, sqrt and div backward rules use their own output; a
+    # rule that closed over it would tie every such node into a cycle that
+    # only the cycle collector frees
+    gc.collect()
+    enabled, debug = gc.isenabled(), gc.get_debug()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        _higher_order_through_self_referencing_ops()
+        _one_generator_step()
+        gc.collect()
+        leaked = sum(isinstance(o, Tensor) for o in gc.garbage)
+        assert leaked == 0, f"{leaked} tensors were freed only by the cycle collector"
+    finally:
+        gc.set_debug(debug)
+        gc.garbage.clear()
+        if enabled:
+            gc.enable()

@@ -6,7 +6,7 @@ import pytest
 from shapegan import autodiff as ad
 from shapegan.autodiff import Tensor, backward, no_grad, variable
 from shapegan.errors import ConfigurationError, NumericError, UsageError
-from shapegan.gradcheck import TOL_PRIMITIVE, primitive_checks
+from shapegan.gradcheck import TOL_PRIMITIVE, check_scalar_function, primitive_checks
 
 
 def test_every_primitive_matches_finite_differences():
@@ -77,7 +77,7 @@ def test_unreached_leaf_gets_zero_gradient():
 
 def test_detach_blocks_gradient():
     x = variable(np.full(3, 2.0))
-    out = ad.sum(ad.mul(ad.detach(x), x))  # treat first factor as constant
+    out = ad.sum(ad.mul(x.detach(), x))  # treat first factor as constant
     (g,) = backward(out, [x])
     np.testing.assert_allclose(g.data, np.full(3, 2.0))
 
@@ -154,3 +154,22 @@ def test_l2_norm_per_row_values():
 
 def test_gradient_tolerance_constant_is_strict():
     assert TOL_PRIMITIVE <= 1e-6
+
+
+def test_check_of_a_constant_function_fails():
+    # all-zero finite differences would match a backward rule returning zeros
+    result = check_scalar_function(
+        "constant", lambda t: ad.sum(ad.mul(t[0], 0.0)), [np.ones((2, 3))], TOL_PRIMITIVE
+    )
+    assert result.max_error == float("inf")
+    assert not result.passed
+
+
+def test_zero_gradient_on_one_array_of_a_check_is_allowed():
+    result = check_scalar_function(
+        "one constant input",
+        lambda t: ad.sum(ad.add(ad.square(t[0]), ad.mul(t[1], 0.0))),
+        [np.full(3, 0.5), np.ones(3)],
+        TOL_PRIMITIVE,
+    )
+    assert result.passed
