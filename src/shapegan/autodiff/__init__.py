@@ -9,20 +9,22 @@ from .conv import conv2d, conv_kernel_grad, conv_transpose2d
 from .ops import (
     add,
     as_tensor,
-    block_sum2x,
     broadcast_to,
     channel_slice,
     concat_channels,
     div,
     exp,
+    interleave2x,
+    interleave2x_adjoint,
     l2_norm_per_row,
     leaky_relu,
     log,
     matmul,
     mean,
     mul,
-    nearest_upsample2x,
     neg,
+    phase_kernels,
+    phase_kernels_adjoint,
     reshape,
     scalar_mul,
     sigmoid,
@@ -43,7 +45,6 @@ __all__ = [
     "add",
     "as_tensor",
     "backward",
-    "block_sum2x",
     "broadcast_to",
     "channel_slice",
     "concat_channels",
@@ -52,15 +53,18 @@ __all__ = [
     "conv_transpose2d",
     "div",
     "exp",
+    "interleave2x",
+    "interleave2x_adjoint",
     "l2_norm_per_row",
     "leaky_relu",
     "log",
     "matmul",
     "mean",
     "mul",
-    "nearest_upsample2x",
     "neg",
     "no_grad",
+    "phase_kernels",
+    "phase_kernels_adjoint",
     "reshape",
     "scalar_mul",
     "sigmoid",

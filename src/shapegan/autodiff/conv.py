@@ -56,7 +56,11 @@ def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int) -> np.ndarra
     """(N, C, H, W) -> (N, C, kh, kw, Ho, Wo) window view copies."""
     n, c, h, w = x.shape
     ho, wo = _out_hw(h, w, kh, kw, stride, pad)
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
+    if pad:
+        xp = np.zeros((n, c, h + 2 * pad, w + 2 * pad))
+        xp[:, :, pad : pad + h, pad : pad + w] = x
+    else:
+        xp = x
     sn, sc, sh, sw = xp.strides
     windows = as_strided(
         xp, (n, c, kh, kw, ho, wo), (sn, sc, sh, sw, stride * sh, stride * sw),
@@ -65,20 +69,30 @@ def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int) -> np.ndarra
     return np.ascontiguousarray(windows)
 
 
+def _tap_slices(i: int, stride: int, pad: int, size: int, n_out: int) -> tuple[slice, slice]:
+    """Where tap ``i`` lands inside [0, size) of the unpadded grid, and which
+    output positions land there."""
+    lo = max(0, -((i - pad) // stride))
+    hi = max(lo, min(n_out, (size - 1 + pad - i) // stride + 1))
+    return slice(i + stride * lo - pad, i + stride * hi - pad, stride), slice(lo, hi)
+
+
 def _col2im(
     cols: np.ndarray, h: int, w: int, stride: int, pad: int
 ) -> np.ndarray:
-    """Scatter-add (N, C, kh, kw, Ho, Wo) windows back onto an (N, C, H, W) grid."""
+    """Scatter-add (N, C, kh, kw, Ho, Wo) windows back onto an (N, C, H, W) grid.
+
+    Taps are added in (i, j) order straight into the unpadded grid; the
+    contributions that would land in the padding are never read.
+    """
     n, c, kh, kw, ho, wo = cols.shape
-    xp = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=np.float64)
+    x = np.zeros((n, c, h, w))
     for i in range(kh):
+        rows, row_src = _tap_slices(i, stride, pad, h, ho)
         for j in range(kw):
-            xp[
-                :, :, i : i + stride * ho : stride, j : j + stride * wo : stride
-            ] += cols[:, :, i, j]
-    if pad:
-        return np.ascontiguousarray(xp[:, :, pad : pad + h, pad : pad + w])
-    return xp
+            columns, col_src = _tap_slices(j, stride, pad, w, wo)
+            x[:, :, rows, columns] += cols[:, :, i, j, row_src, col_src]
+    return x
 
 
 def conv2d(x, kernel, stride: int = 1, pad: int = 0) -> Tensor:

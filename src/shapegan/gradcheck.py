@@ -19,7 +19,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor, backward, no_grad, variable
 from .errors import UsageError
-from .networks import Critic, MaskNet
+from .networks import Critic, MaskNet, _resize_conv
 from .objectives import (
     dice_loss,
     gradient_penalty,
@@ -170,14 +170,22 @@ def primitive_checks() -> list[CheckResult]:
     run("l2_norm_per_row", lambda t: _weighted(ad.l2_norm_per_row(t[0]), w3), [a])
 
     img = _safe(rng, (2, 3, 4, 4))
-    w_up = rng.standard_normal((2, 3, 8, 8))
+    k3 = _safe(rng, (2, 3, 3, 3))
+    k2 = _safe(rng, (8, 3, 2, 2))
+    run("phase_kernels", lambda t: _weighted(ad.phase_kernels(t[0]), k2), [k3])
     run(
-        "nearest_upsample2x",
-        lambda t: _weighted(ad.nearest_upsample2x(t[0]), w_up),
-        [img],
+        "phase_kernels_adjoint",
+        lambda t: _weighted(ad.phase_kernels_adjoint(t[0]), k3),
+        [k2],
     )
-    w_dn = rng.standard_normal((2, 3, 2, 2))
-    run("block_sum2x", lambda t: _weighted(ad.block_sum2x(t[0]), w_dn), [img])
+    phases = _safe(rng, (2, 8, 4, 4))
+    w_il = rng.standard_normal((2, 2, 6, 6))
+    run("interleave2x", lambda t: _weighted(ad.interleave2x(t[0]), w_il), [phases])
+    run(
+        "interleave2x_adjoint",
+        lambda t: _weighted(ad.interleave2x_adjoint(t[0]), phases),
+        [w_il],
+    )
     imb = _safe(rng, (2, 2, 4, 4))
     w_cat = rng.standard_normal((2, 5, 4, 4))
     run(
@@ -234,6 +242,17 @@ def _conv_results():
         "conv_kernel_grad k3 s1 p1",
         lambda t: _weighted(ad.conv_kernel_grad(t[0], t[1], 3, 3, 1, 1), wk),
         [x, cot],
+        TOL_PRIMITIVE,
+    )
+
+    x = _safe(rng, (2, 3, 3, 4))
+    k = _safe(rng, (2, 3, 3, 3))
+    bias = rng.standard_normal((2, 1, 1))
+    wr = rng.standard_normal((2, 2, 6, 8))
+    yield check_scalar_function(
+        "_resize_conv 3->2 at 3x4 (input, weight)",
+        lambda t: _weighted(_resize_conv(t[0], {"r.w": t[1], "r.b": bias}, "r"), wr),
+        [x, k],
         TOL_PRIMITIVE,
     )
 

@@ -1,10 +1,12 @@
 """The five networks: encoder, decoder, interpolator, critic, mask net.
 
 Architecture constants live here, with the layer helpers (``_add_conv``,
-``_add_linear``, ``_conv``, ``_linear``) that these networks and the domain
-classifier in ``evaluation`` are built from. Feature maps are
-64x(S/4)x(S/4) for an SxS input; downsampling is always stride-2
-convolution and upsampling is nearest-neighbour followed by convolution. LeakyReLU(0.2) is used between
+``_add_linear``, ``_conv``, ``_resize_conv``, ``_linear``) that these
+networks and the domain classifier in ``evaluation`` are built from. Feature
+maps are 64x(S/4)x(S/4) for an SxS input; downsampling is always stride-2
+convolution and upsampling is nearest-neighbour followed by a 3x3
+convolution. That pair runs as one 2x2 convolution on the low-resolution
+grid (``_resize_conv``), forward and backward. LeakyReLU(0.2) is used between
 layers; the decoder and mask net end in a sigmoid, the critic output is
 unbounded. Weights are He-initialized from a seeded generator, biases zero.
 """
@@ -50,6 +52,14 @@ def _add_linear(ps: ParamSet, rng, key: str, in_f: int, out_f: int):
 
 def _conv(x: Tensor, ps: ParamSet, key: str, stride: int, pad: int) -> Tensor:
     return ad.add(ad.conv2d(x, ps[f"{key}.w"], stride, pad), ps[f"{key}.b"])
+
+
+def _resize_conv(x: Tensor, ps: ParamSet, key: str) -> Tensor:
+    """Nearest 2x upsampling, then the 3x3, stride-1, pad-1 conv ``key``:
+    the same function, computed as a 2x2 conv of ``x`` with the 4F phase
+    kernels and an interleave of the phases."""
+    phases = ad.conv2d(x, ad.phase_kernels(ps[f"{key}.w"]), 1, 1)
+    return ad.add(ad.interleave2x(phases), ps[f"{key}.b"])
 
 
 def _linear(x: Tensor, ps: ParamSet, key: str) -> Tensor:
@@ -121,10 +131,8 @@ class Decoder:
                 f"decoder expects (N, {FEATURE_CHANNELS}, {s}, {s}) features,"
                 f" got {features.shape}"
             )
-        h = ad.nearest_upsample2x(features)
-        h = ad.leaky_relu(_conv(h, self.params, "conv0", 1, 1), LEAK)
-        h = ad.nearest_upsample2x(h)
-        h = ad.leaky_relu(_conv(h, self.params, "conv1", 1, 1), LEAK)
+        h = ad.leaky_relu(_resize_conv(features, self.params, "conv0"), LEAK)
+        h = ad.leaky_relu(_resize_conv(h, self.params, "conv1"), LEAK)
         return ad.sigmoid(_conv(h, self.params, "conv_out", 1, 1))
 
 
@@ -234,10 +242,10 @@ class MaskNet:
         e1 = ad.leaky_relu(_conv(e0, ps, "enc1", 2, 1), LEAK)
         e2 = ad.leaky_relu(_conv(e1, ps, "enc2", 2, 1), LEAK)
 
-        u1 = ad.leaky_relu(_conv(ad.nearest_upsample2x(e2), ps, "dec1a", 1, 1), LEAK)
+        u1 = ad.leaky_relu(_resize_conv(e2, ps, "dec1a"), LEAK)
         u1 = ad.concat_channels([u1, e1])
         u1 = ad.leaky_relu(_conv(u1, ps, "dec1b", 1, 1), LEAK)
-        u0 = ad.leaky_relu(_conv(ad.nearest_upsample2x(u1), ps, "dec0a", 1, 1), LEAK)
+        u0 = ad.leaky_relu(_resize_conv(u1, ps, "dec0a"), LEAK)
         u0 = ad.concat_channels([u0, e0])
         u0 = ad.leaky_relu(_conv(u0, ps, "dec0b", 1, 1), LEAK)
         return ad.sigmoid(_conv(u0, ps, "out", 1, 0))

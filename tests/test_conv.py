@@ -5,6 +5,7 @@ import pytest
 
 from shapegan import autodiff as ad
 from shapegan.autodiff import backward, variable
+from shapegan.autodiff.conv import _col2im, _out_hw
 from shapegan.errors import ConfigurationError
 from shapegan.gradcheck import conv_checks
 
@@ -139,3 +140,28 @@ def test_stride_two_even_input_round_trips_shape():
     assert down.shape == (1, 1, 16, 16)
     up = ad.conv_transpose2d(down, k, 2, 1, out_hw=(32, 32))
     assert up.shape == (1, 1, 32, 32)
+
+
+def col2im_padded_reference(cols, h, w, stride, pad):
+    """Scatter every tap into a zero-padded grid, then crop the padding."""
+    n, c, kh, kw, ho, wo = cols.shape
+    xp = np.zeros((n, c, h + 2 * pad, w + 2 * pad))
+    for i in range(kh):
+        for j in range(kw):
+            xp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride] += cols[:, :, i, j]
+    return xp[:, :, pad : pad + h, pad : pad + w]
+
+
+@pytest.mark.parametrize("stride", [1, 2, 3])
+@pytest.mark.parametrize("pad", [0, 1, 2])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_col2im_equals_padded_scatter_bitwise(stride, pad, k):
+    rng = np.random.default_rng(100 * stride + 10 * pad + k)
+    for h, w in [(5, 7), (7, 4), (9, 9), (11, 6)]:
+        if h + 2 * pad < k or w + 2 * pad < k:
+            continue
+        ho, wo = _out_hw(h, w, k, k, stride, pad)
+        cols = rng.standard_normal((2, 3, k, k, ho, wo))
+        got = _col2im(cols, h, w, stride, pad)
+        assert got.flags.c_contiguous
+        np.testing.assert_array_equal(got, col2im_padded_reference(cols, h, w, stride, pad))

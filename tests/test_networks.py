@@ -16,6 +16,7 @@ from shapegan.networks import (
     Encoder,
     Interpolator,
     MaskNet,
+    _resize_conv,
     feature_width,
     interpolate,
 )
@@ -226,10 +227,12 @@ class TestDescriptors:
         assert unet.params["dec1b.w"].shape[:2] == (32, 2 * 32)
         assert unet.params["dec0b.w"].shape[:2] == (16, 2 * 16)
         assert unet.params["out.w"].shape == (1, 16, 1, 1)
-        ups = _spy(monkeypatch, "nearest_upsample2x")
+        ups = _spy(monkeypatch, "interleave2x")
+        convs = _spy(monkeypatch, "conv2d")
         squash = _spy(monkeypatch, "sigmoid")
         out = unet(_images(n=1))
-        assert len(ups) == 2 and len(squash) == 1 and out is squash[0]
+        assert [u.shape[2] for u in ups] == [16, 32]  # two 2x up-steps
+        assert len(convs) == 8 and len(squash) == 1 and out is squash[0]
 
     def test_interpolator_structure(self, monkeypatch):
         net = Interpolator.build(seed=0)
@@ -237,6 +240,47 @@ class TestDescriptors:
         acts = _spy(monkeypatch, "leaky_relu")
         out = net(ad.as_tensor(np.ones((1, FEATURE_CHANNELS, 8, 8))))
         assert len(acts) == 1 and out is not acts[-1]
+
+
+def _upsample_conv_reference(x, w, b, g):
+    """Nearest 2x upsampling by ``np.repeat``, then a 3x3 pad-1 conv, in plain
+    numpy: the output, and the input and weight gradients of <output, g>."""
+    n, c, h, wd = x.shape
+    up = np.pad(np.repeat(np.repeat(x, 2, axis=2), 2, axis=3), ((0, 0), (0, 0), (1, 1), (1, 1)))
+    out = np.broadcast_to(b, (n, w.shape[0], 2 * h, 2 * wd)).copy()
+    gup = np.zeros_like(up)
+    gw = np.zeros_like(w)
+    for i in range(3):
+        for j in range(3):
+            window = up[:, :, i : i + 2 * h, j : j + 2 * wd]
+            out += np.einsum("fc,ncyx->nfyx", w[:, :, i, j], window)
+            gup[:, :, i : i + 2 * h, j : j + 2 * wd] += np.einsum("fc,nfyx->ncyx", w[:, :, i, j], g)
+            gw[:, :, i, j] = np.einsum("nfyx,ncyx->fc", g, window)
+    gx = gup[:, :, 1:-1, 1:-1].reshape(n, c, h, 2, wd, 2).sum(axis=(3, 5))
+    return out, gx, gw
+
+
+class TestResizeConv:
+    """``_resize_conv`` is nearest 2x upsampling followed by a 3x3 conv."""
+
+    @pytest.mark.parametrize("in_ch,out_ch,size", [
+        (FEATURE_CHANNELS, 32, 8),  # decoder conv0, mask net dec1a at 32x32
+        (32, 16, 16),  # decoder conv1, mask net dec0a at 32x32
+        (64, 32, 2),  # mask net dec1a at 8x8
+        (32, 16, 4),  # mask net dec0a at 8x8
+    ])
+    def test_matches_upsample_then_conv(self, in_ch, out_ch, size):
+        rng = np.random.default_rng(size)
+        x = rng.standard_normal((2, in_ch, size, size))
+        w = rng.standard_normal((out_ch, in_ch, 3, 3))
+        b = rng.standard_normal((out_ch, 1, 1))
+        g = rng.standard_normal((2, out_ch, 2 * size, 2 * size))
+        xv, wv = ad.variable(x), ad.variable(w)
+        out = _resize_conv(xv, {"l.w": wv, "l.b": ad.as_tensor(b)}, "l")
+        gx, gw = ad.backward(ad.sum(ad.mul(out, ad.as_tensor(g))), [xv, wv])
+        for got, want in zip((out, gx, gw), _upsample_conv_reference(x, w, b, g)):
+            assert got.shape == want.shape
+            assert np.max(np.abs(got.data - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 class TestSkipConnections:

@@ -16,8 +16,9 @@ def test_every_primitive_matches_finite_differences():
     # the suite actually covers the op set
     names = {r.name.split()[0] for r in results}
     for op in ("add", "mul", "div", "matmul", "sigmoid", "leaky_relu",
-               "sum", "mean", "l2_norm_per_row", "nearest_upsample2x",
-               "block_sum2x", "concat_channels", "channel_slice"):
+               "sum", "mean", "l2_norm_per_row", "phase_kernels",
+               "phase_kernels_adjoint", "interleave2x", "interleave2x_adjoint",
+               "concat_channels", "channel_slice"):
         assert op in names
 
 
@@ -131,10 +132,40 @@ def test_leaky_relu_uses_configured_slope():
     np.testing.assert_allclose(out.data, [-0.4, 2.0])
 
 
-def test_upsample_then_blocksum_is_times_four():
-    x = variable(np.arange(16.0).reshape(1, 1, 4, 4))
-    round_trip = ad.block_sum2x(ad.nearest_upsample2x(x))
-    np.testing.assert_allclose(round_trip.data, 4.0 * x.data)
+@pytest.mark.parametrize("op,adjoint,in_shape", [
+    (ad.phase_kernels, ad.phase_kernels_adjoint, (5, 3, 3, 3)),
+    (ad.interleave2x, ad.interleave2x_adjoint, (2, 12, 5, 8)),
+], ids=["phase_kernels", "interleave2x"])
+def test_phase_pairs_are_adjoint(op, adjoint, in_shape):
+    # <A x, y> == <x, A^T y>
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        x = rng.standard_normal(in_shape)
+        ax = op(ad.as_tensor(x)).data
+        y = rng.standard_normal(ax.shape)
+        aty = adjoint(ad.as_tensor(y)).data
+        assert aty.shape == in_shape
+        lhs, rhs = np.sum(ax * y), np.sum(x * aty)
+        assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
+
+
+def test_phase_kernels_sum_taps_that_read_one_source_pixel():
+    w = np.arange(9.0).reshape(1, 1, 3, 3)
+    k = ad.phase_kernels(ad.as_tensor(w)).data.reshape(2, 2, 2, 2)
+    # phase (0, 0): rows {0}, {1, 2} by columns {0}, {1, 2}
+    np.testing.assert_array_equal(k[0, 0], [[0.0, 1.0 + 2.0], [3.0 + 6.0, 4.0 + 5.0 + 7.0 + 8.0]])
+    # phase (1, 1): rows {0, 1}, {2} by columns {0, 1}, {2}
+    np.testing.assert_array_equal(k[1, 1], [[0.0 + 1.0 + 3.0 + 4.0, 2.0 + 5.0], [6.0 + 7.0, 8.0]])
+
+
+def test_interleave2x_reads_each_phase_window():
+    y = np.arange(2 * 4 * 3 * 4.0).reshape(1, 8, 3, 4)
+    out = ad.interleave2x(ad.as_tensor(y)).data
+    assert out.shape == (1, 2, 4, 6)
+    phases = y.reshape(2, 2, 2, 3, 4)
+    for p in range(2):
+        for q in range(2):
+            np.testing.assert_array_equal(out[0, :, p::2, q::2], phases[p, q, :, p:p + 2, q:q + 3])
 
 
 def test_concat_then_slice_recovers_parts():
