@@ -32,7 +32,6 @@ from .ops import (
     square,
     sub,
     sum,
-    transpose,
 )
 from .params import ParamSet
 from .tensor import Tensor, backward, no_grad, variable
@@ -72,6 +71,5 @@ __all__ = [
     "square",
     "sub",
     "sum",
-    "transpose",
     "variable",
 ]

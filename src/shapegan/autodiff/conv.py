@@ -14,7 +14,7 @@ from numpy.lib.stride_tricks import as_strided
 
 from ..errors import ConfigurationError
 from .ops import _result, as_tensor
-from .tensor import Tensor
+from .tensor import Tensor, _needs
 
 
 def _operands(op: str, a, b) -> tuple[Tensor, Tensor]:
@@ -113,12 +113,12 @@ def conv2d(x, kernel, stride: int = 1, pad: int = 0) -> Tensor:
     def vjp(g, out):
         gx = (
             conv_transpose2d(g, kernel, stride, pad, out_hw=(h, w))
-            if x.requires_grad
+            if _needs(x)
             else None
         )
         gk = (
             conv_kernel_grad(x, g, kh, kw, stride, pad)
-            if kernel.requires_grad
+            if _needs(kernel)
             else None
         )
         return (gx, gk)
@@ -152,10 +152,10 @@ def conv_transpose2d(
     data = _col2im(cols, h, w, stride, pad)
 
     def vjp(g, out):
-        gv = conv2d(g, kernel, stride, pad) if v.requires_grad else None
+        gv = conv2d(g, kernel, stride, pad) if _needs(v) else None
         gk = (
             conv_kernel_grad(g, v, kh, kw, stride, pad)
-            if kernel.requires_grad
+            if _needs(kernel)
             else None
         )
         return (gv, gk)
@@ -189,10 +189,10 @@ def conv_kernel_grad(
         # d/dx <conv_kernel_grad(x, v), g> = conv_transpose2d(v, g)
         gx = (
             conv_transpose2d(cot, g, stride, pad, out_hw=(h, w))
-            if x.requires_grad
+            if _needs(x)
             else None
         )
-        gv = conv2d(x, g, stride, pad) if cot.requires_grad else None
+        gv = conv2d(x, g, stride, pad) if _needs(cot) else None
         return (gx, gv)
 
     return _result("conv_kernel_grad", data, (x, cot), vjp)

@@ -6,9 +6,10 @@ The rule receives its output as an argument rather than closing over it, so
 no tape node references itself and a tape is freed by reference counting.
 Values only the backward pass needs are recomputed there from the inputs.
 Every backward rule is written with these same primitives, which keeps the
-whole set closed under differentiation. Outputs are checked for NaN/Inf;
-a violation raises :class:`NumericError` immediately rather than letting bad
-values propagate.
+whole set closed under differentiation, and builds the gradient of an input
+only when the running backward pass needs it (``_needs``). Outputs are
+checked for NaN/Inf; a violation raises :class:`NumericError` immediately
+rather than letting bad values propagate.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from ..errors import ConfigurationError, NumericError, UsageError
-from .tensor import _GRAD_MODE, Tensor, _fresh
+from .tensor import _GRAD_MODE, Tensor, _fresh, _needs
 
 
 def as_tensor(x) -> Tensor:
@@ -72,7 +73,9 @@ def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
 
     def vjp(g, out):
-        return (_sum_to(g, a.shape), _sum_to(g, b.shape))
+        ga = _sum_to(g, a.shape) if _needs(a) else None
+        gb = _sum_to(g, b.shape) if _needs(b) else None
+        return (ga, gb)
 
     return _result("add", _binary_data("add", a, b, np.add), (a, b), vjp)
 
@@ -81,7 +84,9 @@ def sub(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
 
     def vjp(g, out):
-        return (_sum_to(g, a.shape), _sum_to(neg(g), b.shape))
+        ga = _sum_to(g, a.shape) if _needs(a) else None
+        gb = _sum_to(neg(g), b.shape) if _needs(b) else None
+        return (ga, gb)
 
     return _result("sub", _binary_data("sub", a, b, np.subtract), (a, b), vjp)
 
@@ -91,8 +96,8 @@ def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
 
     def vjp(g, out):
-        ga = _sum_to(mul(g, b), a.shape) if a.requires_grad else None
-        gb = _sum_to(mul(g, a), b.shape) if b.requires_grad else None
+        ga = _sum_to(mul(g, b), a.shape) if _needs(a) else None
+        gb = _sum_to(mul(g, a), b.shape) if _needs(b) else None
         return (ga, gb)
 
     return _result("mul", _binary_data("mul", a, b, np.multiply), (a, b), vjp)
@@ -109,8 +114,8 @@ def div(a, b) -> Tensor:
         raise NumericError("division by zero")
 
     def vjp(g, out):
-        ga = _sum_to(div(g, b), a.shape) if a.requires_grad else None
-        gb = _sum_to(neg(div(mul(g, out), b)), b.shape) if b.requires_grad else None
+        ga = _sum_to(div(g, b), a.shape) if _needs(a) else None
+        gb = _sum_to(neg(div(mul(g, out), b)), b.shape) if _needs(b) else None
         return (ga, gb)
 
     return _result("div", _binary_data("div", a, b, np.divide), (a, b), vjp)
@@ -186,30 +191,41 @@ def sigmoid(x) -> Tensor:
 # ---------------------------------------------------------------------------
 # linear algebra and shape
 
-def matmul(a, b) -> Tensor:
+def matmul(a, b, transpose_a: bool = False, transpose_b: bool = False) -> Tensor:
+    """Matrix product ``op(a) @ op(b)``, where ``op`` transposes an operand
+    whose flag is set. BLAS reads the transposed operand in place.
+
+    The gradient of each form is a product of the other two forms, NN, NT
+    and TN, so every gradient is a C-ordered array and never a transposed
+    view; both flags at once are not supported.
+    """
     a, b = as_tensor(a), as_tensor(b)
     if a.ndim != 2 or b.ndim != 2:
         raise ConfigurationError(
             f"matmul expects 2-d operands, got {a.shape} and {b.shape}"
         )
-    if a.shape[1] != b.shape[0]:
+    if transpose_a and transpose_b:
+        raise UsageError("matmul transposes at most one operand")
+    lhs = a.data.T if transpose_a else a.data
+    rhs = b.data.T if transpose_b else b.data
+    if lhs.shape[1] != rhs.shape[0]:
         raise ConfigurationError(
-            f"matmul inner dimensions differ: {a.shape} @ {b.shape}"
+            f"matmul inner dimensions differ: {lhs.shape} @ {rhs.shape}"
         )
 
     def vjp(g, out):
-        ga = matmul(g, transpose(b)) if a.requires_grad else None
-        gb = matmul(transpose(a), g) if b.requires_grad else None
+        if transpose_a:  # out = A^T B
+            ga = matmul(b, g, transpose_b=True) if _needs(a) else None
+            gb = matmul(a, g) if _needs(b) else None
+        elif transpose_b:  # out = A B^T
+            ga = matmul(g, b) if _needs(a) else None
+            gb = matmul(g, a, transpose_a=True) if _needs(b) else None
+        else:  # out = A B
+            ga = matmul(g, b, transpose_b=True) if _needs(a) else None
+            gb = matmul(a, g, transpose_a=True) if _needs(b) else None
         return (ga, gb)
 
-    return _result("matmul", a.data @ b.data, (a, b), vjp)
-
-
-def transpose(x) -> Tensor:
-    x = as_tensor(x)
-    if x.ndim != 2:
-        raise ConfigurationError(f"transpose expects a matrix, got {x.shape}")
-    return _result("transpose", x.data.T, (x,), lambda g, out: (transpose(g),))
+    return _result("matmul", lhs @ rhs, (a, b), vjp)
 
 
 def reshape(x, shape: Sequence[int]) -> Tensor:
@@ -389,7 +405,7 @@ def concat_channels(parts: Sequence) -> Tensor:
         off = 0
         for t in ts:
             c = t.shape[1]
-            grads.append(channel_slice(g, off, off + c) if t.requires_grad else None)
+            grads.append(channel_slice(g, off, off + c) if _needs(t) else None)
             off += c
         return tuple(grads)
 

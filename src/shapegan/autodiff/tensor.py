@@ -9,6 +9,12 @@ recorded operations themselves, so a gradient produced by
 ``backward(..., higher_order=True)`` is again differentiable. That
 re-entrancy is what makes double backward (the gradient penalty) work
 without any special casing.
+
+``backward`` computes gradients only along paths that end in a ``wrt``
+tensor: a vjp asks ``_needs(x)`` before it builds the gradient of input
+``x``, and nodes from which no ``wrt`` tensor is reachable are skipped. What
+a higher-order pass records is unchanged, so its gradients stay
+differentiable in every tensor they depend on, asked for or not.
 """
 
 from __future__ import annotations
@@ -22,6 +28,9 @@ from ..errors import NumericError, UsageError
 
 # Recording mode stack; the top entry is the active mode.
 _GRAD_MODE: list[bool] = [True]
+# Per running backward pass, the ids of the tensors from which one of its
+# wrt tensors is reachable.
+_NEEDED: list[set[int]] = []
 
 
 @contextmanager
@@ -31,6 +40,15 @@ def _grad_mode(enabled: bool):
         yield
     finally:
         _GRAD_MODE.pop()
+
+
+@contextmanager
+def _needing(ids: set[int]):
+    _NEEDED.append(ids)
+    try:
+        yield
+    finally:
+        _NEEDED.pop()
 
 
 def no_grad():
@@ -45,8 +63,8 @@ class Tensor:
     differentiable leaves such as parameters. Operation outputs carry
     ``parents`` and ``vjp(g, out)`` only while recording is enabled and at
     least one input is differentiable. ``data`` buffers are treated as
-    immutable by every operation; the optimizer mutates leaf buffers in place
-    strictly between tapes.
+    immutable by every operation; the optimizer updates leaf buffers in place,
+    block by block, strictly between tapes.
     """
 
     __slots__ = ("data", "parents", "vjp", "requires_grad")
@@ -103,6 +121,11 @@ def variable(data) -> Tensor:
     return Tensor(arr, requires_grad=True)
 
 
+def _needs(x: Tensor) -> bool:
+    """Whether the running backward pass wants the gradient of ``x``."""
+    return id(x) in _NEEDED[-1]
+
+
 def _toposort(root: Tensor) -> list[Tensor]:
     """Post-order over the recorded ancestors of ``root`` (parents first)."""
     topo: list[Tensor] = []
@@ -134,7 +157,8 @@ def backward(
     With ``higher_order=True`` the returned gradients are recorded tensors
     and can be differentiated again. Tensors in ``wrt`` that the output does
     not reach get zero gradients; a ``wrt`` entry that is not differentiable
-    at all is a usage error.
+    at all is a usage error. Only the tensors from which a ``wrt`` tensor is
+    reachable get a gradient, so no work goes to parameters not asked for.
     """
     if scalar_output.data.size != 1:
         raise UsageError(
@@ -152,21 +176,28 @@ def backward(
         from . import ops  # deferred: ops imports this module
 
         topo = _toposort(scalar_output)
+        # a node runs its vjp when one of its parents needs a gradient
+        expand: set[int] = set()
+        needed = set(wrt_ids)
+        for node in topo:  # parents come first
+            if any(id(p) in needed for p in node.parents):
+                expand.add(id(node))
+                needed.add(id(node))
         grads: dict[int, Tensor] = {
             id(scalar_output): Tensor(np.ones_like(scalar_output.data))
         }
-        with _grad_mode(higher_order):
+        with _needing(needed), _grad_mode(higher_order):
             for node in reversed(topo):
                 g = grads.pop(id(node), None)
                 if g is None:
                     continue
                 if id(node) in wrt_ids:
                     results[id(node)] = g
-                if node.vjp is None:
+                if id(node) not in expand:
                     continue
                 parent_grads = node.vjp(g, node)
                 for parent, pg in zip(node.parents, parent_grads):
-                    if pg is None or not parent.requires_grad:
+                    if pg is None or id(parent) not in needed:
                         continue
                     have = grads.get(id(parent))
                     grads[id(parent)] = pg if have is None else ops.add(have, pg)

@@ -47,39 +47,36 @@ def _rng_to_text(state: dict) -> str:
 
 
 def save_checkpoint(path, blob: CheckpointBlob) -> Path:
-    """Write atomically: a temp file is renamed over the target."""
-    path = Path(path)
-    parts = [MAGIC, struct.pack("<I", VERSION), struct.pack("<I", len(blob.tensors))]
-    for name, arr in blob.tensors.items():
-        # not ascontiguousarray: that would promote rank-0 tensors to rank 1
-        arr = np.asarray(arr, dtype=np.float64)
-        encoded = name.encode("utf-8")
-        parts.append(struct.pack("<I", len(encoded)))
-        parts.append(encoded)
-        parts.append(struct.pack("<I", arr.ndim))
-        parts.append(struct.pack(f"<{arr.ndim}Q", *arr.shape) if arr.ndim else b"")
-        parts.append(arr.astype("<f8").tobytes())
-    cfg = blob.config_text.encode("utf-8")
-    parts.append(struct.pack("<I", len(cfg)))
-    parts.append(cfg)
-    rng = _rng_to_text(blob.rng_state).encode("utf-8")
-    parts.append(struct.pack("<I", len(rng)))
-    parts.append(rng)
+    """Write atomically: a temp file is renamed over the target.
 
+    Each header and each tensor's buffer goes straight to the file; only a
+    tensor that is not C-ordered little-endian float64 is copied first.
+    """
+    path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     with open(tmp, "wb") as f:
-        f.write(b"".join(parts))
+        f.write(MAGIC + struct.pack("<II", VERSION, len(blob.tensors)))
+        for name, arr in blob.tensors.items():
+            # not ascontiguousarray: that would promote rank-0 tensors to rank 1
+            arr = np.asarray(arr, dtype="<f8")
+            encoded = name.encode("utf-8")
+            f.write(struct.pack("<I", len(encoded)) + encoded)
+            f.write(struct.pack(f"<I{arr.ndim}Q", arr.ndim, *arr.shape))
+            f.write(arr.data if arr.flags.c_contiguous else arr.tobytes())
+        for text in (blob.config_text, _rng_to_text(blob.rng_state)):
+            encoded = text.encode("utf-8")
+            f.write(struct.pack("<I", len(encoded)) + encoded)
     os.replace(tmp, path)
     return path
 
 
 class _Reader:
-    def __init__(self, buf: bytes, path):
+    def __init__(self, buf: memoryview, path):
         self.buf = buf
         self.pos = 0
         self.path = str(path)
 
-    def take(self, n: int, what: str) -> bytes:
+    def take(self, n: int, what: str) -> memoryview:
         if self.pos + n > len(self.buf):
             raise DataError(
                 f"{self.path}: truncated checkpoint reading {what}"
@@ -94,7 +91,7 @@ class _Reader:
 
     def text(self, n: int, what: str) -> str:
         try:
-            return self.take(n, what).decode("utf-8")
+            return str(self.take(n, what), "utf-8")
         except UnicodeDecodeError as exc:
             raise DataError(f"{self.path}: {what} is not UTF-8: {exc}") from None
 
@@ -102,7 +99,7 @@ class _Reader:
 def load_checkpoint(path) -> CheckpointBlob:
     path = Path(path)
     try:
-        buf = path.read_bytes()
+        buf = memoryview(path.read_bytes())
     except OSError as exc:
         raise DataError(f"cannot read checkpoint {path}: {exc}") from exc
     r = _Reader(buf, path)

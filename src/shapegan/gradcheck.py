@@ -153,8 +153,18 @@ def primitive_checks() -> list[CheckResult]:
     m2 = _safe(rng, (5, 2))
     w32 = rng.standard_normal((3, 2))
     run("matmul", lambda t: _weighted(ad.matmul(t[0], t[1]), w32), [m1, m2])
-    w43 = rng.standard_normal((4, 3))
-    run("transpose", lambda t: _weighted(ad.transpose(t[0]), w43), [a])
+    m2t = _safe(rng, (2, 5))
+    run(
+        "matmul NT",
+        lambda t: _weighted(ad.matmul(t[0], t[1], transpose_b=True), w32),
+        [m1, m2t],
+    )
+    m1t = _safe(rng, (5, 3))
+    run(
+        "matmul TN",
+        lambda t: _weighted(ad.matmul(t[0], t[1], transpose_a=True), w32),
+        [m1t, m2],
+    )
     w12 = rng.standard_normal((12,))
     run("reshape", lambda t: _weighted(ad.reshape(t[0], (12,)), w12), [a])
     w234 = rng.standard_normal((2, 3, 4))

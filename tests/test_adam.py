@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from shapegan.autodiff import AdamState, ParamSet, adam_step
+from shapegan.autodiff.adam import BLOCK
 from shapegan.errors import ConfigurationError
 
 
@@ -31,6 +32,38 @@ def test_matches_scalar_recurrence(b1, b2):
     expected = reference_adam(0.7, grads, 0.01, b1, b2, 1e-8)
     assert ps["w"].data[0] == pytest.approx(expected, abs=1e-15)
     assert state.step == len(grads)
+
+
+def whole_array_adam(p, m, v, grads, lr, b1, b2, eps):
+    """The update as whole-array numpy expressions, one pass per ufunc."""
+    for t, g in enumerate(grads, start=1):
+        bc1 = 1.0 - b1**t
+        bc2 = 1.0 - b2**t
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * np.square(g)
+        p -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+    return p, m, v
+
+
+@pytest.mark.parametrize("b1", [0.0, 0.9])
+def test_blocked_update_equals_whole_array_update_bitwise(b1):
+    # two full blocks and a ragged tail, in a 2-d parameter
+    rng = np.random.default_rng(7)
+    shape = (2 * BLOCK + 7, 1)
+    p0 = rng.standard_normal(shape)
+    grads = [rng.standard_normal(shape) * 10.0**k for k in (-3, 0, 2, -1)]
+    ps = ParamSet("t")
+    ps.add("w", p0)
+    state = AdamState.for_params(ps, lr=1e-3, beta1=b1, beta2=0.9, epsilon=1e-8)
+    for g in grads:
+        adam_step(ps, [g], state)
+    p, m, v = whole_array_adam(p0.copy(), np.zeros(shape), np.zeros(shape), grads,
+                               1e-3, b1, 0.9, 1e-8)
+    assert np.array_equal(ps["w"].data, p)
+    assert np.array_equal(state.m["w"], m)
+    assert np.array_equal(state.v["w"], v)
 
 
 def test_zero_gradient_with_beta1_zero_leaves_param_bitwise():

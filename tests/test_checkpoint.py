@@ -1,5 +1,6 @@
 """Checkpoint codec: byte-exact round trips and corruption detection."""
 
+import json
 import struct
 
 import numpy as np
@@ -52,6 +53,35 @@ def test_round_trip_preserves_everything(tmp_path):
         assert back.tensors[name].dtype == np.float64
     assert back.config_text == blob.config_text
     assert back.rng_state == blob.rng_state
+
+
+def encode_layout(blob):
+    """The documented version-1 layout, written out field by field."""
+    out = [MAGIC, struct.pack("<I", VERSION), struct.pack("<I", len(blob.tensors))]
+    for name, arr in blob.tensors.items():
+        raw = name.encode("utf-8")
+        out += [struct.pack("<I", len(raw)), raw, struct.pack("<I", arr.ndim)]
+        out += [struct.pack("<Q", d) for d in arr.shape]
+        out += [struct.pack("<d", x) for x in arr.flat]  # row-major
+    for text in (blob.config_text, json.dumps(blob.rng_state, sort_keys=True)):
+        raw = text.encode("utf-8")
+        out += [struct.pack("<I", len(raw)), raw]
+    return b"".join(out)
+
+
+def test_saved_bytes_follow_the_documented_layout(tmp_path):
+    blob = sample_blob()
+    rng = np.random.default_rng(1)
+    blob.tensors["rank4"] = rng.normal(size=(2, 3, 1, 4))
+    blob.tensors["fortran"] = np.asfortranarray(rng.normal(size=(3, 5)))
+    blob.tensors["strided"] = rng.normal(size=(4, 6))[::2, 1::2]
+    blob.tensors["empty"] = np.zeros((0, 3))
+    assert {a.ndim for a in blob.tensors.values()} >= {0, 1, 2, 4}
+    path = save_checkpoint(tmp_path / "c.sgck", blob)
+    assert path.read_bytes() == encode_layout(blob)
+    back = load_checkpoint(path)
+    assert back.tensors["adam/critic/step"].shape == ()
+    assert np.array_equal(back.tensors["fortran"], blob.tensors["fortran"])
 
 
 def test_save_load_save_is_byte_identical(tmp_path):

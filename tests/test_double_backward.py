@@ -9,8 +9,8 @@ from shapegan import autodiff as ad
 from shapegan.autodiff import Tensor, backward, variable
 from shapegan.config import TrainConfig
 from shapegan.gradcheck import second_order_checks
-from shapegan.networks import Critic
-from shapegan.objectives import gradient_penalty
+from shapegan.networks import Critic, MaskNet
+from shapegan.objectives import dice_loss, gradient_penalty, loss_critic
 from shapegan.trainer import build_adam, build_nets, generator_step
 
 
@@ -46,6 +46,47 @@ def test_penalty_gradient_linear_critic_closed_form():
     (gw,) = backward(gp, [critic.params["fc0.w"]])
     expected = 2.0 * (3.0 - 1.0) * w0 / 3.0
     np.testing.assert_allclose(gw.data, expected, atol=1e-10)
+
+
+def test_penalty_weight_gradient_is_row_major():
+    # the weight gradient along the penalty's second-order path is a TN
+    # product, never a transposed view of an NN product
+    critic = Critic.build(6, hidden=(5,), seed=0)
+    rng = np.random.default_rng(8)
+    gp = gradient_penalty(critic, rng.random((3, 6)), rng.random((3, 6)), rng.random(3))
+    grads = backward(gp, critic.params.tensors())
+    assert all(g.data.flags.c_contiguous for g in grads)
+
+
+def _critic_loss():
+    critic = Critic.build(12, hidden=(8, 5), seed=3)
+    rng = np.random.default_rng(6)
+    real, fake = rng.standard_normal((4, 12)), rng.standard_normal((4, 12))
+    return list(critic.params.items()), loss_critic(real, fake, critic, rng.random(4), 10.0)
+
+
+def _mask_loss():
+    unet = MaskNet.build(3, seed=1)
+    rng = np.random.default_rng(7)
+    x = variable(rng.random((2, 3, 8, 8)))
+    loss = dice_loss(unet(x), ad.as_tensor(rng.random((2, 1, 8, 8))))
+    return [("input", x), *unet.params.items()], loss
+
+
+@pytest.mark.parametrize("build,keys", [
+    (_critic_loss, ["fc0.w"]),
+    (_critic_loss, ["fc2.b", "fc0.b"]),
+    (_critic_loss, ["fc1.w", "fc2.w"]),
+    (_mask_loss, ["input"]),
+    (_mask_loss, ["dec0a.w", "input", "enc0.b"]),
+])
+def test_gradients_toward_a_subset_equal_those_toward_all(build, keys):
+    named, loss = build()
+    full = dict(zip([k for k, _ in named], backward(loss, [t for _, t in named])))
+    lookup = dict(named)
+    part = backward(loss, [lookup[k] for k in keys])
+    for key, g in zip(keys, part):
+        assert np.array_equal(g.data, full[key].data), key
 
 
 def test_unit_norm_linear_critic_has_zero_penalty():

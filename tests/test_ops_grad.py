@@ -14,9 +14,9 @@ def test_every_primitive_matches_finite_differences():
     failed = [r for r in results if not r.passed]
     assert not failed, "\n".join(str(r) for r in failed)
     # the suite actually covers the op set
-    names = {r.name.split()[0] for r in results}
-    for op in ("add", "mul", "div", "matmul", "sigmoid", "leaky_relu",
-               "sum", "mean", "l2_norm_per_row", "phase_kernels",
+    names = {r.name for r in results} | {r.name.split()[0] for r in results}
+    for op in ("add", "mul", "div", "matmul", "matmul NT", "matmul TN", "sigmoid",
+               "leaky_relu", "sum", "mean", "l2_norm_per_row", "phase_kernels",
                "phase_kernels_adjoint", "interleave2x", "interleave2x_adjoint",
                "concat_channels", "channel_slice"):
         assert op in names
@@ -124,6 +124,15 @@ def test_shape_mismatch_is_configuration_error():
         ad.add(ad.as_tensor(np.ones((2, 3))), ad.as_tensor(np.ones((4,))))
     with pytest.raises(ConfigurationError):
         ad.matmul(ad.as_tensor(np.ones((2, 3))), ad.as_tensor(np.ones((2, 3))))
+    with pytest.raises(ConfigurationError):
+        ad.matmul(ad.as_tensor(np.ones((2, 3))), ad.as_tensor(np.ones((3, 2))),
+                  transpose_a=True)
+
+
+def test_matmul_transposes_at_most_one_operand():
+    a = ad.as_tensor(np.ones((3, 3)))
+    with pytest.raises(UsageError):
+        ad.matmul(a, a, transpose_a=True, transpose_b=True)
 
 
 def test_leaky_relu_uses_configured_slope():

@@ -109,6 +109,41 @@ class TestUpdateScoping:
         assert np.isfinite(adv)
         assert 0.0 <= shape <= 1.0
 
+    def test_generator_step_computes_no_frozen_gradients(
+        self, micro_config, batches, tiny_dataset, monkeypatch
+    ):
+        # the critic and the mask net are in the loss but not updated, so
+        # backward builds no gradient for their weights
+        import shapegan.autodiff as ad
+        import shapegan.autodiff.conv as conv
+        import shapegan.autodiff.ops as ops
+
+        kernel_shapes, matmul_shapes = [], []
+
+        def spy(fn, shapes):
+            def wrapped(*args, **kwargs):
+                out = fn(*args, **kwargs)
+                shapes.append(out.shape)
+                return out
+            return wrapped
+
+        monkeypatch.setattr(conv, "conv_kernel_grad",
+                            spy(conv.conv_kernel_grad, kernel_shapes))
+        for owner in (ops, ad):
+            monkeypatch.setattr(owner, "matmul", spy(ops.matmul, matmul_shapes))
+        nets, adam = fresh(micro_config, tiny_dataset)
+        x, y, masks = batches
+        generator_step(x, y, nets, micro_config, adam, np.random.default_rng(0),
+                       masks_x=masks)
+        critic_weights = {t.shape for t in nets.critic.params.tensors() if t.ndim == 2}
+        assert (4096, 512) in critic_weights
+        assert matmul_shapes and not critic_weights & set(matmul_shapes)
+        # mask-net kernels no generator network shares; and one kernel
+        # gradient per conv of the encoder (run on x and y), interpolator
+        # and decoder
+        assert not {(16, 3, 3, 3), (32, 16, 3, 3), (1, 16, 1, 1)} & set(kernel_shapes)
+        assert len(kernel_shapes) == 2 * 2 + 2 + 3
+
     def test_generator_step_without_shape_term(self, micro_config, batches, tiny_dataset):
         cfg = dataclasses.replace(micro_config, lambda_shape=0.0)
         nets, adam = fresh(cfg, tiny_dataset)
