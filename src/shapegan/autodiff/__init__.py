@@ -14,8 +14,7 @@ from .ops import (
     concat_channels,
     div,
     exp,
-    interleave2x,
-    interleave2x_adjoint,
+    kernel_taps,
     l2_norm_per_row,
     leaky_relu,
     log,
@@ -23,8 +22,6 @@ from .ops import (
     mean,
     mul,
     neg,
-    phase_kernels,
-    phase_kernels_adjoint,
     reshape,
     scalar_mul,
     sigmoid,
@@ -52,8 +49,7 @@ __all__ = [
     "conv_transpose2d",
     "div",
     "exp",
-    "interleave2x",
-    "interleave2x_adjoint",
+    "kernel_taps",
     "l2_norm_per_row",
     "leaky_relu",
     "log",
@@ -62,8 +58,6 @@ __all__ = [
     "mul",
     "neg",
     "no_grad",
-    "phase_kernels",
-    "phase_kernels_adjoint",
     "reshape",
     "scalar_mul",
     "sigmoid",

@@ -303,88 +303,21 @@ def l2_norm_per_row(x) -> Tensor:
 # ---------------------------------------------------------------------------
 # spatial
 
-# Nearest 2x upsampling followed by a 3x3, stride-1, pad-1 convolution reads,
-# for output row 2a + p, source rows a - 1, a, a (p = 0) or a, a, a + 1
-# (p = 1), and likewise for columns. So it equals a 2x2 convolution of the
-# low-resolution input at pad 1 whose phase (p, q) kernel sums the 3x3 taps
-# that read the same source pixel, with output phase (p, q) read from
-# window (p:p+H, q:q+W) of that convolution. Row 2p + t of _PHASE_TAPS sums
-# the 3x3 taps onto 2x2 tap t of phase p.
-_PHASE_TAPS = np.array(
-    [[1.0, 0.0, 0.0], [0.0, 1.0, 1.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
-)
-
-
-def phase_kernels(w) -> Tensor:
-    """(F, C, 3, 3) kernel -> (4F, C, 2, 2) phase kernels, phase-major:
-    channel (2p + q) * F + f is phase (p, q) of filter f."""
+def kernel_taps(w, m) -> Tensor:
+    """(A, B, k, k) kernel -> (B, A, r, r) kernel with ``out[b, a] =
+    m @ w[a, b] @ m.T`` for a constant (r, k) tap map ``m``: row t of ``m``
+    names the taps of ``w`` that add up to tap t of the result, along each
+    spatial axis. The channel swap turns a conv2d kernel (F, C, k, k) into a
+    conv_transpose2d kernel (C, F, r, r)."""
     w = as_tensor(w)
-    if w.ndim != 4 or w.shape[2:] != (3, 3):
-        raise ConfigurationError(f"phase_kernels expects (F, C, 3, 3), got {w.shape}")
-    f, c = w.shape[:2]
-    taps = np.matmul(np.matmul(_PHASE_TAPS, w.data), _PHASE_TAPS.T)  # (F, C, 4, 4)
-    data = taps.reshape(f, c, 2, 2, 2, 2).transpose(2, 4, 0, 1, 3, 5)
-    return _result(
-        "phase_kernels", data.reshape(4 * f, c, 2, 2), (w,),
-        lambda g, out: (phase_kernels_adjoint(g),),
-    )
-
-
-def phase_kernels_adjoint(k) -> Tensor:
-    """(4F, C, 2, 2) -> (F, C, 3, 3); adjoint of phase_kernels."""
-    k = as_tensor(k)
-    if k.ndim != 4 or k.shape[0] % 4 or k.shape[2:] != (2, 2):
+    m = np.asarray(m, dtype=np.float64)
+    if m.ndim != 2 or w.ndim != 4 or w.shape[2:] != (m.shape[1], m.shape[1]):
         raise ConfigurationError(
-            f"phase_kernels_adjoint expects (4F, C, 2, 2), got {k.shape}"
+            f"kernel_taps expects (A, B, {m.shape[-1]}, {m.shape[-1]}) for a tap map"
+            f" of shape {m.shape}, got {w.shape}"
         )
-    f, c = k.shape[0] // 4, k.shape[1]
-    taps = k.data.reshape(2, 2, f, c, 2, 2).transpose(2, 3, 0, 4, 1, 5)
-    data = np.matmul(np.matmul(_PHASE_TAPS.T, taps.reshape(f, c, 4, 4)), _PHASE_TAPS)
-    return _result(
-        "phase_kernels_adjoint", data, (k,), lambda g, out: (phase_kernels(g),)
-    )
-
-
-def interleave2x(y) -> Tensor:
-    """(N, 4F, H+1, W+1) phase maps -> (N, F, 2H, 2W): output pixel
-    (2a + p, 2b + q) is pixel (a + p, b + q) of phase (p, q)."""
-    y = as_tensor(y)
-    if y.ndim != 4 or y.shape[1] % 4:
-        raise ConfigurationError(
-            f"interleave2x expects (N, 4F, H+1, W+1), got {y.shape}"
-        )
-    n, f4, h1, w1 = y.shape
-    f, h, w = f4 // 4, h1 - 1, w1 - 1
-    phases = y.data.reshape(n, 2, 2, f, h1, w1)
-    data = np.empty((n, f, h, 2, w, 2))
-    for p in range(2):
-        for q in range(2):
-            data[:, :, :, p, :, q] = phases[:, p, q, :, p : p + h, q : q + w]
-    return _result(
-        "interleave2x", data.reshape(n, f, 2 * h, 2 * w), (y,),
-        lambda g, out: (interleave2x_adjoint(g),),
-    )
-
-
-def interleave2x_adjoint(x) -> Tensor:
-    """(N, F, 2H, 2W) -> (N, 4F, H+1, W+1), zero where no output pixel reads;
-    adjoint of interleave2x."""
-    x = as_tensor(x)
-    if x.ndim != 4 or x.shape[2] % 2 or x.shape[3] % 2:
-        raise ConfigurationError(
-            f"interleave2x_adjoint expects NCHW with even spatial dims, got {x.shape}"
-        )
-    n, f, h2, w2 = x.shape
-    h, w = h2 // 2, w2 // 2
-    pixels = x.data.reshape(n, f, h, 2, w, 2)
-    data = np.zeros((n, 2, 2, f, h + 1, w + 1))
-    for p in range(2):
-        for q in range(2):
-            data[:, p, q, :, p : p + h, q : q + w] = pixels[:, :, :, p, :, q]
-    return _result(
-        "interleave2x_adjoint", data.reshape(n, 4 * f, h + 1, w + 1), (x,),
-        lambda g, out: (interleave2x(g),),
-    )
+    data = np.matmul(np.matmul(m, w.data.transpose(1, 0, 2, 3)), m.T)
+    return _result("kernel_taps", data, (w,), lambda g, out: (kernel_taps(g, m.T),))
 
 
 def concat_channels(parts: Sequence) -> Tensor:

@@ -71,20 +71,26 @@ def save_checkpoint(path, blob: CheckpointBlob) -> Path:
 
 
 class _Reader:
-    def __init__(self, buf: memoryview, path):
-        self.buf = buf
+    """Reads a checkpoint front to back. Every length is checked against the
+    file's size before anything of that length is read or allocated."""
+
+    def __init__(self, f, path):
+        self.f = f
+        self.size = os.fstat(f.fileno()).st_size
         self.pos = 0
         self.path = str(path)
 
-    def take(self, n: int, what: str) -> memoryview:
-        if self.pos + n > len(self.buf):
+    def _claim(self, n: int, what: str) -> None:
+        if self.pos + n > self.size:
             raise DataError(
                 f"{self.path}: truncated checkpoint reading {what}"
                 f" at byte {self.pos}"
             )
-        out = self.buf[self.pos : self.pos + n]
         self.pos += n
-        return out
+
+    def take(self, n: int, what: str) -> bytes:
+        self._claim(n, what)
+        return self.f.read(n)
 
     def u32(self, what: str) -> int:
         return struct.unpack("<I", self.take(4, what))[0]
@@ -95,14 +101,32 @@ class _Reader:
         except UnicodeDecodeError as exc:
             raise DataError(f"{self.path}: {what} is not UTF-8: {exc}") from None
 
+    def floats(self, name: str, dims: tuple[int, ...]) -> np.ndarray:
+        """Tensor ``name`` as a C-ordered float64 array of shape ``dims``,
+        read straight from the file into its own buffer."""
+        n_items = 1
+        for d in dims:
+            n_items *= d
+        self._claim(8 * n_items, f"tensor {name} data")
+        try:
+            arr = np.empty(dims, dtype="<f8")
+        except ValueError as exc:
+            raise DataError(f"{self.path}: tensor {name} dims {dims}: {exc}") from None
+        self.f.readinto(arr.reshape(-1))
+        return arr
+
 
 def load_checkpoint(path) -> CheckpointBlob:
     path = Path(path)
     try:
-        buf = memoryview(path.read_bytes())
+        with open(path, "rb") as f:
+            return _read_blob(_Reader(f, path))
     except OSError as exc:
         raise DataError(f"cannot read checkpoint {path}: {exc}") from exc
-    r = _Reader(buf, path)
+
+
+def _read_blob(r: _Reader) -> CheckpointBlob:
+    path = r.path
     if r.take(4, "magic") != MAGIC:
         raise DataError(f"{path}: bad magic, not a checkpoint file")
     version = r.u32("version")
@@ -117,14 +141,7 @@ def load_checkpoint(path) -> CheckpointBlob:
         name = r.text(name_len, f"tensor {i} name")
         rank = r.u32(f"tensor {name} rank")
         dims = struct.unpack(f"<{rank}Q", r.take(8 * rank, f"tensor {name} dims"))
-        n_items = 1
-        for d in dims:
-            n_items *= d
-        raw = r.take(8 * n_items, f"tensor {name} data")
-        try:
-            arr = np.frombuffer(raw, dtype="<f8").reshape(dims).copy()
-        except ValueError as exc:
-            raise DataError(f"{path}: tensor {name} dims {dims}: {exc}") from None
+        arr = r.floats(name, dims)
         if name in tensors:
             raise DataError(f"{path}: duplicate tensor name {name!r}")
         tensors[name] = arr
@@ -136,6 +153,6 @@ def load_checkpoint(path) -> CheckpointBlob:
         rng_state = json.loads(rng_text)
     except ValueError as exc:
         raise DataError(f"{path}: rng block is not JSON: {exc}") from None
-    if r.pos != len(buf):
-        raise DataError(f"{path}: {len(buf) - r.pos} trailing bytes after checkpoint")
+    if r.pos != r.size:
+        raise DataError(f"{path}: {r.size - r.pos} trailing bytes after checkpoint")
     return CheckpointBlob(tensors, config_text, rng_state)

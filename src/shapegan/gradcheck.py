@@ -181,21 +181,9 @@ def primitive_checks() -> list[CheckResult]:
 
     img = _safe(rng, (2, 3, 4, 4))
     k3 = _safe(rng, (2, 3, 3, 3))
-    k2 = _safe(rng, (8, 3, 2, 2))
-    run("phase_kernels", lambda t: _weighted(ad.phase_kernels(t[0]), k2), [k3])
-    run(
-        "phase_kernels_adjoint",
-        lambda t: _weighted(ad.phase_kernels_adjoint(t[0]), k3),
-        [k2],
-    )
-    phases = _safe(rng, (2, 8, 4, 4))
-    w_il = rng.standard_normal((2, 2, 6, 6))
-    run("interleave2x", lambda t: _weighted(ad.interleave2x(t[0]), w_il), [phases])
-    run(
-        "interleave2x_adjoint",
-        lambda t: _weighted(ad.interleave2x_adjoint(t[0]), phases),
-        [w_il],
-    )
+    taps = rng.standard_normal((4, 3))
+    w_taps = rng.standard_normal((3, 2, 4, 4))
+    run("kernel_taps", lambda t: _weighted(ad.kernel_taps(t[0], taps), w_taps), [k3])
     imb = _safe(rng, (2, 2, 4, 4))
     w_cat = rng.standard_normal((2, 5, 4, 4))
     run(
@@ -242,6 +230,15 @@ def _conv_results():
     yield check_scalar_function(
         "conv_transpose2d k3 s2 p1 out6",
         lambda t: _weighted(ad.conv_transpose2d(t[0], t[1], 2, 1, out_hw=(6, 6)), wt),
+        [v, k],
+        TOL_PRIMITIVE,
+    )
+    v = _safe(rng, (2, 3, 3, 4))
+    k = _safe(rng, (3, 2, 4, 4))
+    wt = rng.standard_normal((2, 2, 6, 8))
+    yield check_scalar_function(
+        "conv_transpose2d k4 s2 p1",
+        lambda t: _weighted(ad.conv_transpose2d(t[0], t[1], 2, 1), wt),
         [v, k],
         TOL_PRIMITIVE,
     )

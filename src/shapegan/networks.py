@@ -5,8 +5,9 @@ Architecture constants live here, with the layer helpers (``_add_conv``,
 networks and the domain classifier in ``evaluation`` are built from. Feature
 maps are 64x(S/4)x(S/4) for an SxS input; downsampling is always stride-2
 convolution and upsampling is nearest-neighbour followed by a 3x3
-convolution. That pair runs as one 2x2 convolution on the low-resolution
-grid (``_resize_conv``), forward and backward. LeakyReLU(0.2) is used between
+convolution. That pair is a stride-2, pad-1, 4x4 transposed convolution
+whose kernel sums the 3x3 taps (``_resize_conv``), so it runs on the
+low-resolution grid, forward and backward. LeakyReLU(0.2) is used between
 layers; the decoder and mask net end in a sigmoid, the critic output is
 unbounded. Weights are He-initialized from a seeded generator, biases zero.
 """
@@ -54,12 +55,23 @@ def _conv(x: Tensor, ps: ParamSet, key: str, stride: int, pad: int) -> Tensor:
     return ad.add(ad.conv2d(x, ps[f"{key}.w"], stride, pad), ps[f"{key}.b"])
 
 
+# Row t sums the 3x3 taps that reach 4x4 tap t: the 1-d kernel of the
+# transposed convolution is [w2, w1 + w2, w0 + w1, w0].
+_RESIZE_TAPS = np.array(
+    [[0.0, 0.0, 1.0], [0.0, 1.0, 1.0], [1.0, 1.0, 0.0], [1.0, 0.0, 0.0]]
+)
+
+
 def _resize_conv(x: Tensor, ps: ParamSet, key: str) -> Tensor:
-    """Nearest 2x upsampling, then the 3x3, stride-1, pad-1 conv ``key``:
-    the same function, computed as a 2x2 conv of ``x`` with the 4F phase
-    kernels and an interleave of the phases."""
-    phases = ad.conv2d(x, ad.phase_kernels(ps[f"{key}.w"]), 1, 1)
-    return ad.add(ad.interleave2x(phases), ps[f"{key}.b"])
+    """Nearest 2x upsampling, then the 3x3, stride-1, pad-1 conv ``key``.
+
+    Output pixel 2a + p reads source pixels a - 1, a, a (p = 0) or a, a,
+    a + 1 (p = 1), which is exactly a stride-2, pad-1, 4x4 transposed
+    convolution of ``x`` whose kernel sums the 3x3 taps that read one source
+    pixel (Odena et al., Distill 2016). So the GEMM runs on the
+    low-resolution grid, forward and backward."""
+    kernel = ad.kernel_taps(ps[f"{key}.w"], _RESIZE_TAPS)
+    return ad.add(ad.conv_transpose2d(x, kernel, 2, 1), ps[f"{key}.b"])
 
 
 def _linear(x: Tensor, ps: ParamSet, key: str) -> Tensor:

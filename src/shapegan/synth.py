@@ -284,6 +284,10 @@ class Dataset:
         return self.indices("eval", domain)
 
 
+def _hw(raster: np.ndarray) -> str:
+    return f"{raster.shape[1]}x{raster.shape[2]}"
+
+
 def load_dataset(data_dir) -> Dataset:
     """Load a generated dataset from its manifest."""
     root = Path(data_dir)
@@ -297,15 +301,29 @@ def load_dataset(data_dir) -> Dataset:
         if header is None or tuple(header) != _MANIFEST_FIELDS:
             raise DataError(f"{manifest}: unexpected manifest header {header}")
         for lineno, row in enumerate(reader, start=2):
+            line = f"{manifest}:{lineno}"
             if len(row) != len(_MANIFEST_FIELDS):
-                raise DataError(f"{manifest}:{lineno}: malformed row {row}")
+                raise DataError(f"{line}: malformed row {row}")
             img_rel, mask_rel, dom, s, split = row
             if split not in ("train", "eval"):
-                raise DataError(f"{manifest}:{lineno}: unknown split {split!r}")
-            images.append(netpbm.read_ppm(root / img_rel))
-            masks.append(netpbm.read_pgm(root / mask_rel))
-            domains.append(int(dom))
-            seeds.append(int(s))
+                raise DataError(f"{line}: unknown split {split!r}")
+            try:
+                domains.append(int(dom))
+                seeds.append(int(s))
+            except ValueError:
+                raise DataError(
+                    f"{line}: domain and seed must be integers, got {dom!r}, {s!r}"
+                ) from None
+            image = netpbm.read_ppm(root / img_rel)
+            mask = netpbm.read_pgm(root / mask_rel)
+            size = images[0].shape[-1] if images else image.shape[-1]
+            if image.shape[1:] != (size, size) or mask.shape[1:] != (size, size):
+                raise DataError(
+                    f"{line}: image {img_rel} is {_hw(image)} and mask {mask_rel}"
+                    f" is {_hw(mask)}; every image and mask must be {size}x{size}"
+                )
+            images.append(image)
+            masks.append(mask)
             splits.append(split)
     if not images:
         raise DataError(f"{manifest}: empty manifest")

@@ -1,5 +1,6 @@
 """End-to-end command-line tests, each in its own subprocess."""
 
+import shutil
 import subprocess
 import sys
 
@@ -162,6 +163,16 @@ class TestTrain:
                     "--out", str(tmp_path / "out"))
         assert r.returncode == 3
         assert "manifest.csv" in r.stderr
+
+    def test_mixed_image_sizes_exit_3(self, workspace, tmp_path):
+        data = tmp_path / "data"
+        shutil.copytree(workspace["data"], data)
+        second = (data / "manifest.csv").read_text().splitlines()[2].split(",")[0]
+        netpbm.write_ppm(data / second, np.zeros((3, 16, 16)))
+        r = run_cli("train", "--data", str(data), "--out", str(tmp_path / "out"))
+        assert r.returncode == 3, r.stderr
+        assert "Traceback" not in r.stderr
+        assert "every image and mask must be 32x32" in r.stderr
 
     def test_config_file_with_override(self, workspace, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -412,3 +412,21 @@ class TestLoadDataset:
         )
         with pytest.raises(DataError, match="cannot read"):
             load_dataset(tmp_path)
+
+    @pytest.mark.parametrize("rows,message", [
+        ([((8, 8), (8, 8), "zero", "1")], ":2: domain and seed must be integers"),
+        ([((8, 8), (8, 8), "0", "1.5")], ":2: domain and seed must be integers"),
+        ([((8, 8), (8, 8), "0", "1"), ((6, 6), (6, 6), "0", "2")],
+         r":3: image b\.ppm is 6x6 and mask b\.pgm is 6x6; every image and mask must be 8x8"),
+        ([((8, 8), (4, 4), "0", "1")], r":2: .* mask a\.pgm is 4x4; every .* must be 8x8"),
+        ([((8, 6), (8, 6), "0", "1")], r":2: image a\.ppm is 8x6 .* must be 6x6"),
+    ], ids=["domain", "seed", "image size", "mask size", "non-square"])
+    def test_malformed_row_or_raster_reports_line(self, tmp_path, rows, message):
+        lines = ["path,mask_path,domain,seed,split"]
+        for stem, ((h, w), (mh, mw), dom, seed) in zip("ab", rows):
+            netpbm.write_ppm(tmp_path / f"{stem}.ppm", np.zeros((3, h, w)))
+            netpbm.write_pgm(tmp_path / f"{stem}.pgm", np.zeros((1, mh, mw)))
+            lines.append(f"{stem}.ppm,{stem}.pgm,{dom},{seed},train")
+        (tmp_path / synth.MANIFEST_NAME).write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match=message):
+            load_dataset(tmp_path)

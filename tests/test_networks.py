@@ -227,12 +227,12 @@ class TestDescriptors:
         assert unet.params["dec1b.w"].shape[:2] == (32, 2 * 32)
         assert unet.params["dec0b.w"].shape[:2] == (16, 2 * 16)
         assert unet.params["out.w"].shape == (1, 16, 1, 1)
-        ups = _spy(monkeypatch, "interleave2x")
+        ups = _spy(monkeypatch, "conv_transpose2d")
         convs = _spy(monkeypatch, "conv2d")
         squash = _spy(monkeypatch, "sigmoid")
         out = unet(_images(n=1))
         assert [u.shape[2] for u in ups] == [16, 32]  # two 2x up-steps
-        assert len(convs) == 8 and len(squash) == 1 and out is squash[0]
+        assert len(convs) == 6 and len(squash) == 1 and out is squash[0]
 
     def test_interpolator_structure(self, monkeypatch):
         net = Interpolator.build(seed=0)

@@ -7,6 +7,7 @@ from shapegan import autodiff as ad
 from shapegan.autodiff import Tensor, backward, no_grad, variable
 from shapegan.errors import ConfigurationError, NumericError, UsageError
 from shapegan.gradcheck import TOL_PRIMITIVE, check_scalar_function, primitive_checks
+from shapegan.networks import _RESIZE_TAPS
 
 
 def test_every_primitive_matches_finite_differences():
@@ -16,8 +17,7 @@ def test_every_primitive_matches_finite_differences():
     # the suite actually covers the op set
     names = {r.name for r in results} | {r.name.split()[0] for r in results}
     for op in ("add", "mul", "div", "matmul", "matmul NT", "matmul TN", "sigmoid",
-               "leaky_relu", "sum", "mean", "l2_norm_per_row", "phase_kernels",
-               "phase_kernels_adjoint", "interleave2x", "interleave2x_adjoint",
+               "leaky_relu", "sum", "mean", "l2_norm_per_row", "kernel_taps",
                "concat_channels", "channel_slice"):
         assert op in names
 
@@ -127,6 +127,8 @@ def test_shape_mismatch_is_configuration_error():
     with pytest.raises(ConfigurationError):
         ad.matmul(ad.as_tensor(np.ones((2, 3))), ad.as_tensor(np.ones((3, 2))),
                   transpose_a=True)
+    with pytest.raises(ConfigurationError):
+        ad.kernel_taps(ad.as_tensor(np.ones((2, 3, 4, 4))), _RESIZE_TAPS)
 
 
 def test_matmul_transposes_at_most_one_operand():
@@ -141,40 +143,33 @@ def test_leaky_relu_uses_configured_slope():
     np.testing.assert_allclose(out.data, [-0.4, 2.0])
 
 
-@pytest.mark.parametrize("op,adjoint,in_shape", [
-    (ad.phase_kernels, ad.phase_kernels_adjoint, (5, 3, 3, 3)),
-    (ad.interleave2x, ad.interleave2x_adjoint, (2, 12, 5, 8)),
-], ids=["phase_kernels", "interleave2x"])
-def test_phase_pairs_are_adjoint(op, adjoint, in_shape):
-    # <A x, y> == <x, A^T y>
+def test_kernel_taps_pair_is_adjoint():
+    # <A x, y> == <x, A^T y> with A = kernel_taps(., m), A^T = kernel_taps(., m.T)
     rng = np.random.default_rng(11)
+    m = rng.standard_normal((4, 3))
     for _ in range(20):
-        x = rng.standard_normal(in_shape)
-        ax = op(ad.as_tensor(x)).data
+        x = rng.standard_normal((5, 3, 3, 3))
+        ax = ad.kernel_taps(ad.as_tensor(x), m).data
+        assert ax.shape == (3, 5, 4, 4)
         y = rng.standard_normal(ax.shape)
-        aty = adjoint(ad.as_tensor(y)).data
-        assert aty.shape == in_shape
+        aty = ad.kernel_taps(ad.as_tensor(y), m.T).data
+        assert aty.shape == x.shape
         lhs, rhs = np.sum(ax * y), np.sum(x * aty)
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
 
 
-def test_phase_kernels_sum_taps_that_read_one_source_pixel():
+def test_kernel_taps_sums_resize_taps():
     w = np.arange(9.0).reshape(1, 1, 3, 3)
-    k = ad.phase_kernels(ad.as_tensor(w)).data.reshape(2, 2, 2, 2)
-    # phase (0, 0): rows {0}, {1, 2} by columns {0}, {1, 2}
-    np.testing.assert_array_equal(k[0, 0], [[0.0, 1.0 + 2.0], [3.0 + 6.0, 4.0 + 5.0 + 7.0 + 8.0]])
-    # phase (1, 1): rows {0, 1}, {2} by columns {0, 1}, {2}
-    np.testing.assert_array_equal(k[1, 1], [[0.0 + 1.0 + 3.0 + 4.0, 2.0 + 5.0], [6.0 + 7.0, 8.0]])
-
-
-def test_interleave2x_reads_each_phase_window():
-    y = np.arange(2 * 4 * 3 * 4.0).reshape(1, 8, 3, 4)
-    out = ad.interleave2x(ad.as_tensor(y)).data
-    assert out.shape == (1, 2, 4, 6)
-    phases = y.reshape(2, 2, 2, 3, 4)
-    for p in range(2):
-        for q in range(2):
-            np.testing.assert_array_equal(out[0, :, p::2, q::2], phases[p, q, :, p:p + 2, q:q + 3])
+    k = ad.kernel_taps(ad.as_tensor(w), _RESIZE_TAPS).data
+    assert k.shape == (1, 1, 4, 4)
+    # along each axis the 4x4 taps are [w2, w1 + w2, w0 + w1, w0]; the rows
+    # of w are [0, 1, 2], [3, 4, 5], [6, 7, 8]
+    np.testing.assert_array_equal(k[0, 0], [
+        [8.0, 7.0 + 8.0, 6.0 + 7.0, 6.0],
+        [5.0 + 8.0, 4.0 + 5.0 + 7.0 + 8.0, 3.0 + 4.0 + 6.0 + 7.0, 3.0 + 6.0],
+        [2.0 + 5.0, 1.0 + 2.0 + 4.0 + 5.0, 0.0 + 1.0 + 3.0 + 4.0, 0.0 + 3.0],
+        [2.0, 1.0 + 2.0, 0.0 + 1.0, 0.0],
+    ])
 
 
 def test_concat_then_slice_recovers_parts():
