@@ -159,12 +159,15 @@ def log(x) -> Tensor:
 # ---------------------------------------------------------------------------
 # activations
 
-def leaky_relu(x, slope: float = 0.2) -> Tensor:
+LEAKY_SLOPE = 0.2
+
+
+def leaky_relu(x) -> Tensor:
     x = as_tensor(x)
-    data = np.where(x.data > 0.0, x.data, slope * x.data)
+    data = np.where(x.data > 0.0, x.data, LEAKY_SLOPE * x.data)
 
     def vjp(g, out):
-        return (mul(g, _fresh(np.where(x.data > 0.0, 1.0, slope))),)
+        return (mul(g, _fresh(np.where(x.data > 0.0, 1.0, LEAKY_SLOPE))),)
 
     return _result("leaky_relu", data, (x,), vjp)
 
@@ -262,19 +265,18 @@ def _keepdims_shape(shape: tuple[int, ...], axes: tuple[int, ...]) -> tuple[int,
     return tuple(1 if i in axes else s for i, s in enumerate(shape))
 
 
-def sum(x, axis=None, keepdims: bool = False) -> Tensor:  # noqa: A001
+def sum(x, axis=None) -> Tensor:  # noqa: A001
     x = as_tensor(x)
     axes = _normalize_axes(axis, x.ndim)
-    data = x.data.sum(axis=axes or None, keepdims=keepdims)
+    data = x.data.sum(axis=axes or None)
 
     def vjp(g, out):
-        gg = g if keepdims else reshape(g, _keepdims_shape(x.shape, axes))
-        return (broadcast_to(gg, x.shape),)
+        return (broadcast_to(reshape(g, _keepdims_shape(x.shape, axes)), x.shape),)
 
     return _result("sum", data, (x,), vjp)
 
 
-def mean(x, axis=None, keepdims: bool = False) -> Tensor:
+def mean(x, axis=None) -> Tensor:
     x = as_tensor(x)
     axes = _normalize_axes(axis, x.ndim)
     count = 1
@@ -282,10 +284,10 @@ def mean(x, axis=None, keepdims: bool = False) -> Tensor:
         count *= x.shape[a]
     if count == 0:
         raise ConfigurationError("mean over an empty axis")
-    data = x.data.mean(axis=axes or None, keepdims=keepdims)
+    data = x.data.mean(axis=axes or None)
 
     def vjp(g, out):
-        gg = g if keepdims else reshape(g, _keepdims_shape(x.shape, axes))
+        gg = reshape(g, _keepdims_shape(x.shape, axes))
         return (broadcast_to(mul(gg, 1.0 / count), x.shape),)
 
     return _result("mean", data, (x,), vjp)

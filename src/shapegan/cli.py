@@ -99,8 +99,7 @@ def _build_parser() -> argparse.ArgumentParser:
         e.add_argument("--seed", type=int, default=0)
         e.add_argument("--alpha", type=float, default=1.0)
 
-    c = sub.add_parser("grad-check", help="finite-difference gradient checks")
-    c.add_argument("--level", choices=("quick", "full"), default="quick")
+    sub.add_parser("grad-check", help="finite-difference gradient checks")
     return parser
 
 
@@ -218,7 +217,7 @@ def _cmd_eval(args) -> int:
 def _cmd_grad_check(args) -> int:
     from . import gradcheck
 
-    results = gradcheck.run(args.level)
+    results = gradcheck.run()
     failures = [r for r in results if not r.passed]
     for r in results:
         print(r)

@@ -16,7 +16,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import AdamState, ParamSet, Tensor, adam_step, backward, no_grad
 from .errors import ConfigurationError, UsageError
-from .networks import LEAK, _add_conv, _add_linear, _conv, _linear, _rng, interpolate
+from .networks import _add_conv, _add_linear, _conv, _linear, _rng, interpolate
 from .seeds import derive_seed
 from .synth import Dataset
 from .trainer import NetBundle
@@ -163,7 +163,7 @@ class SmallClassifier:
                 f"classifier expects (N, {self.in_channels}, S, S), got {h.shape}"
             )
         for i in range(3):
-            h = ad.leaky_relu(_conv(h, self.params, f"conv{i}", 2, 1), LEAK)
+            h = ad.leaky_relu(_conv(h, self.params, f"conv{i}", 2, 1))
         n = h.shape[0]
         return _linear(ad.reshape(h, (n, h.size // n)), self.params, "head")
 

@@ -18,7 +18,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor, backward, no_grad, variable
-from .errors import UsageError
 from .networks import Critic, MaskNet, _resize_conv
 from .objectives import (
     dice_loss,
@@ -201,12 +200,12 @@ def primitive_checks() -> list[CheckResult]:
 
 
 def conv_checks() -> list[CheckResult]:
-    return list(_conv_results())
-
-
-def _conv_results():
-    """The conv checks, each computed when it is drawn."""
     rng = _rng(7051)
+    results = []
+
+    def run(name, build, arrays):
+        results.append(check_scalar_function(name, build, arrays, TOL_PRIMITIVE))
+
     cases = [
         ("conv2d k3 s1 p1", (2, 2, 5, 5), (3, 2, 3, 3), 1, 1),
         ("conv2d k3 s2 p1", (1, 2, 6, 6), (2, 2, 3, 3), 2, 1),
@@ -217,51 +216,47 @@ def _conv_results():
         k = _safe(rng, ks)
         out_hw = ad.conv2d(ad.as_tensor(x), ad.as_tensor(k), stride, pad).shape
         w = rng.standard_normal(out_hw)
-        yield check_scalar_function(
+        run(
             name,
             lambda t, s=stride, p=pad, w=w: _weighted(ad.conv2d(t[0], t[1], s, p), w),
             [x, k],
-            TOL_PRIMITIVE,
         )
 
     v = _safe(rng, (1, 2, 3, 3))
     k = _safe(rng, (2, 2, 3, 3))
     wt = rng.standard_normal((1, 2, 6, 6))
-    yield check_scalar_function(
+    run(
         "conv_transpose2d k3 s2 p1 out6",
         lambda t: _weighted(ad.conv_transpose2d(t[0], t[1], 2, 1, out_hw=(6, 6)), wt),
         [v, k],
-        TOL_PRIMITIVE,
     )
     v = _safe(rng, (2, 3, 3, 4))
     k = _safe(rng, (3, 2, 4, 4))
     wt = rng.standard_normal((2, 2, 6, 8))
-    yield check_scalar_function(
+    run(
         "conv_transpose2d k4 s2 p1",
         lambda t: _weighted(ad.conv_transpose2d(t[0], t[1], 2, 1), wt),
         [v, k],
-        TOL_PRIMITIVE,
     )
     x = _safe(rng, (2, 2, 5, 5))
     cot = _safe(rng, (2, 3, 5, 5))
     wk = rng.standard_normal((3, 2, 3, 3))
-    yield check_scalar_function(
+    run(
         "conv_kernel_grad k3 s1 p1",
         lambda t: _weighted(ad.conv_kernel_grad(t[0], t[1], 3, 3, 1, 1), wk),
         [x, cot],
-        TOL_PRIMITIVE,
     )
 
     x = _safe(rng, (2, 3, 3, 4))
     k = _safe(rng, (2, 3, 3, 3))
     bias = rng.standard_normal((2, 1, 1))
     wr = rng.standard_normal((2, 2, 6, 8))
-    yield check_scalar_function(
+    run(
         "_resize_conv 3->2 at 3x4 (input, weight)",
         lambda t: _weighted(_resize_conv(t[0], {"r.w": t[1], "r.b": bias}, "r"), wr),
         [x, k],
-        TOL_PRIMITIVE,
     )
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -360,11 +355,6 @@ def _with_params(net, leaf_tensors: Sequence[Tensor], thunk: Callable[[], Tensor
 
 def second_order_checks() -> list[CheckResult]:
     """Verify gradients *of* a gradient-norm penalty (double backward)."""
-    return list(_second_order_results())
-
-
-def _second_order_results():
-    """The second-order checks, each computed when it is drawn."""
     rng = _rng(55021)
     critic = Critic.build(8, hidden=(6,), seed=13)
     base = rng.standard_normal((3, 8)) * 0.7
@@ -390,29 +380,25 @@ def _second_order_results():
     (numeric,) = fd_gradients(
         lambda arrs: squashed_penalty(variable(arrs[0])).item(), [base]
     )
-    yield CheckResult(
-        "second_order wrt blend point",
-        max_error([analytic.data], [numeric]),
-        TOL_SECOND_ORDER,
-    )
-
-    # d penalty / d critic parameters
-    yield check_scalar_function(
-        "second_order wrt critic params",
-        lambda t: _with_params(critic, t, lambda: penalty_from(base)),
-        [p.data for p in critic.params.tensors()],
-        TOL_SECOND_ORDER,
-    )
+    return [
+        CheckResult(
+            "second_order wrt blend point",
+            max_error([analytic.data], [numeric]),
+            TOL_SECOND_ORDER,
+        ),
+        # d penalty / d critic parameters
+        check_scalar_function(
+            "second_order wrt critic params",
+            lambda t: _with_params(critic, t, lambda: penalty_from(base)),
+            [p.data for p in critic.params.tensors()],
+            TOL_SECOND_ORDER,
+        ),
+    ]
 
 
 # ---------------------------------------------------------------------------
 # entry point
 
-def run(level: str = "full") -> list[CheckResult]:
-    """Run the gradient checks; ``level`` is "quick" or "full"."""
-    if level not in ("quick", "full"):
-        raise UsageError(f"unknown grad-check level: {level!r}")
-    if level == "full":
-        return primitive_checks() + conv_checks() + loss_checks() + second_order_checks()
-    # the first conv check and the first second-order check, computed alone
-    return primitive_checks() + [next(_conv_results()), next(_second_order_results())]
+def run() -> list[CheckResult]:
+    """Run every gradient check."""
+    return primitive_checks() + conv_checks() + loss_checks() + second_order_checks()

@@ -23,7 +23,6 @@ from .autodiff import ParamSet, Tensor
 from .errors import ConfigurationError, UsageError
 
 FEATURE_CHANNELS = 64
-LEAK = 0.2
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -116,7 +115,7 @@ class Encoder:
 
     def __call__(self, images: Tensor) -> Tensor:
         _check_images(images, self.in_channels, self.image_size, "encoder")
-        h = ad.leaky_relu(_conv(images, self.params, "conv0", 2, 1), LEAK)
+        h = ad.leaky_relu(_conv(images, self.params, "conv0", 2, 1))
         return _conv(h, self.params, "conv1", 2, 1)
 
 
@@ -143,8 +142,8 @@ class Decoder:
                 f"decoder expects (N, {FEATURE_CHANNELS}, {s}, {s}) features,"
                 f" got {features.shape}"
             )
-        h = ad.leaky_relu(_resize_conv(features, self.params, "conv0"), LEAK)
-        h = ad.leaky_relu(_resize_conv(h, self.params, "conv1"), LEAK)
+        h = ad.leaky_relu(_resize_conv(features, self.params, "conv0"))
+        h = ad.leaky_relu(_resize_conv(h, self.params, "conv1"))
         return ad.sigmoid(_conv(h, self.params, "conv_out", 1, 1))
 
 
@@ -171,7 +170,7 @@ class Interpolator:
             raise ConfigurationError(
                 f"interpolator expects (N, {FEATURE_CHANNELS}, h, w), got {diff.shape}"
             )
-        h = ad.leaky_relu(_conv(diff, self.params, "conv0", 1, 1), LEAK)
+        h = ad.leaky_relu(_conv(diff, self.params, "conv0", 1, 1))
         return _conv(h, self.params, "conv1", 1, 1)
 
 
@@ -210,7 +209,7 @@ class Critic:
         for i in range(last + 1):
             h = _linear(h, self.params, f"fc{i}")
             if i < last:
-                h = ad.leaky_relu(h, LEAK)
+                h = ad.leaky_relu(h)
         return h
 
 
@@ -250,16 +249,16 @@ class MaskNet:
                 f"mask net needs spatial dims divisible by 4, got {images.shape}"
             )
         ps = self.params
-        e0 = ad.leaky_relu(_conv(images, ps, "enc0", 1, 1), LEAK)
-        e1 = ad.leaky_relu(_conv(e0, ps, "enc1", 2, 1), LEAK)
-        e2 = ad.leaky_relu(_conv(e1, ps, "enc2", 2, 1), LEAK)
+        e0 = ad.leaky_relu(_conv(images, ps, "enc0", 1, 1))
+        e1 = ad.leaky_relu(_conv(e0, ps, "enc1", 2, 1))
+        e2 = ad.leaky_relu(_conv(e1, ps, "enc2", 2, 1))
 
-        u1 = ad.leaky_relu(_resize_conv(e2, ps, "dec1a"), LEAK)
+        u1 = ad.leaky_relu(_resize_conv(e2, ps, "dec1a"))
         u1 = ad.concat_channels([u1, e1])
-        u1 = ad.leaky_relu(_conv(u1, ps, "dec1b", 1, 1), LEAK)
-        u0 = ad.leaky_relu(_resize_conv(u1, ps, "dec0a"), LEAK)
+        u1 = ad.leaky_relu(_conv(u1, ps, "dec1b", 1, 1))
+        u0 = ad.leaky_relu(_resize_conv(u1, ps, "dec0a"))
         u0 = ad.concat_channels([u0, e0])
-        u0 = ad.leaky_relu(_conv(u0, ps, "dec0b", 1, 1), LEAK)
+        u0 = ad.leaky_relu(_conv(u0, ps, "dec0b", 1, 1))
         return ad.sigmoid(_conv(u0, ps, "out", 1, 0))
 
 

@@ -367,11 +367,15 @@ def run_training(
 ) -> TrainResult:
     """Run (or resume) a full training; returns final state and the trace.
 
-    With ``out_dir`` set, writes periodic checkpoints, a final checkpoint,
-    the resolved config, and the loss trace. A resumed run keeps the rows of
-    an existing trace up to the checkpoint's iteration and writes its own
-    after them. A numeric error aborts with :class:`TrainingAborted` after
-    writing the last good state.
+    With ``out_dir`` set, writes the resolved config, periodic checkpoints,
+    a final checkpoint and the loss trace. ``trace.csv`` grows by one row as
+    each iteration ends, so a killed run keeps the rows it finished; a
+    resumed run first keeps the rows of an existing trace up to the
+    checkpoint's iteration. A numeric error aborts with
+    :class:`TrainingAborted`; with ``out_dir`` set, it first writes the state
+    of the last completed iteration to ``last_good.sgck``. An error during
+    mask-net pretraining writes none: no work is complete, and the config
+    alone rebuilds the initial state.
     """
     if resume is not None:
         # the checkpoint's own config governs the continued run
@@ -379,12 +383,11 @@ def run_training(
     config.validate()
     domains = _validate_dataset(dataset, config)
     out = Path(out_dir) if out_dir is not None else None
-    kept_trace = ""
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
         (out / "config_resolved.txt").write_text(config.to_text())
-        if resume is not None:
-            kept_trace = _trace_up_to(out / "trace.csv", state.iteration)
+        kept = "" if resume is None else _trace_up_to(out / "trace.csv", state.iteration)
+        (out / "trace.csv").write_text(kept)
 
     if resume is None:
         nets = build_nets(config, dataset.channels, config.seed)
@@ -398,43 +401,28 @@ def run_training(
     notify = observer if observer is not None else (lambda kind, it: None)
     train_all = dataset.train_indices()
     train_by_domain = {d: dataset.train_indices(d) for d in domains}
+    n = len(domains)
     rng = state.rng
     nets = state.nets
     adam = state.adam
-
-    last_good = state_to_blob(state, config)
-
-    def abort(exc: NumericError, iteration: int):
-        path = None
-        if out is not None:
-            path = save_checkpoint(out / "last_good.sgck", last_good)
-            _write_trace(out, kept_trace, trace_rows)
-        raise TrainingAborted(
-            f"numeric error at iteration {iteration}: {exc}", iteration, path
-        ) from exc
-
-    trace_rows: list[tuple] = []
-
-    if resume is None and config.unet_pretrain_iters > 0:
-        for i in range(config.unet_pretrain_iters):
-            sel = _draw(rng, train_all, config.batch_size)
-            try:
-                unet_step(dataset.images[sel], dataset.masks[sel], nets, config, adam)
-            except NumericError as exc:
-                abort(exc, 0)
-            notify("unet_pretrain_step", 0)
-        last_good = state_to_blob(state, config)
-
     recon_history = state.recon_history
-    for it in range(state.iteration + 1, config.max_iterations + 1):
-        try:
-            dx = int(domains[rng.integers(len(domains))])
-            dy = int(
-                domains[
-                    (domains.index(dx) + 1 + int(rng.integers(len(domains) - 1)))
-                    % len(domains)
-                ]
-            )
+    trace_rows: list[tuple] = []
+    # the state to write if a step fails: taken only where it can be written
+    last_good = None
+    it = 0
+    try:
+        if resume is None:
+            for _ in range(config.unet_pretrain_iters):
+                sel = _draw(rng, train_all, config.batch_size)
+                unet_step(dataset.images[sel], dataset.masks[sel], nets, config, adam)
+                notify("unet_pretrain_step", 0)
+        if out is not None:
+            last_good = state_to_blob(state, config)
+
+        for it in range(state.iteration + 1, config.max_iterations + 1):
+            i = int(rng.integers(n))
+            dx = domains[i]
+            dy = domains[(i + 1 + int(rng.integers(n - 1))) % n]
             critic_losses = []
             recon_losses = []
             for _ in range(config.n_critic):
@@ -468,36 +456,41 @@ def run_training(
                 dataset.images[bu], dataset.masks[bu], nets, config, adam
             )
             notify("unet_step", it)
-        except NumericError as exc:
-            abort(exc, it)
 
-        state.iteration = it
-        row = (
-            it,
-            float(np.mean(critic_losses)),
-            float(np.mean(recon_losses)),
-            adv_value,
-            shape_value,
-            unet_value,
-        )
-        trace_rows.append(row)
-        recon_history.append(row[2])
-        del recon_history[: -2 * _EARLY_STOP_WINDOW]
-        notify("iteration_end", it)
-        last_good = state_to_blob(state, config)
-        if out is not None and it % config.checkpoint_every == 0:
-            save_checkpoint(out / f"ckpt_{it:06d}.sgck", last_good)
-        if config.early_stop and len(recon_history) == 2 * _EARLY_STOP_WINDOW:
-            prev = float(np.mean(recon_history[:_EARLY_STOP_WINDOW]))
-            now = float(np.mean(recon_history[_EARLY_STOP_WINDOW:]))
-            if abs(now - prev) < _EARLY_STOP_DELTA:
-                break
+            state.iteration = it
+            row = (
+                it,
+                float(np.mean(critic_losses)),
+                float(np.mean(recon_losses)),
+                adv_value,
+                shape_value,
+                unet_value,
+            )
+            trace_rows.append(row)
+            recon_history.append(row[2])
+            del recon_history[: -2 * _EARLY_STOP_WINDOW]
+            notify("iteration_end", it)
+            if out is not None:
+                with open(out / "trace.csv", "a") as f:
+                    f.write(format_trace_row(row) + "\n")
+                last_good = state_to_blob(state, config)
+                if it % config.checkpoint_every == 0:
+                    save_checkpoint(out / f"ckpt_{it:06d}.sgck", last_good)
+            if config.early_stop and len(recon_history) == 2 * _EARLY_STOP_WINDOW:
+                prev = float(np.mean(recon_history[:_EARLY_STOP_WINDOW]))
+                now = float(np.mean(recon_history[_EARLY_STOP_WINDOW:]))
+                if abs(now - prev) < _EARLY_STOP_DELTA:
+                    break
+    except NumericError as exc:
+        path = None
+        if last_good is not None:
+            path = save_checkpoint(out / "last_good.sgck", last_good)
+        raise TrainingAborted(f"numeric error at iteration {it}: {exc}", it, path) from exc
 
     final_path = None
     if out is not None:
         # no update ran since last_good was taken: it is the final state
         final_path = save_checkpoint(out / "final.sgck", last_good)
-        _write_trace(out, kept_trace, trace_rows)
     return TrainResult(state, trace_rows, final_path)
 
 
@@ -511,7 +504,3 @@ def _trace_up_to(path: Path, iteration: int) -> str:
         if it.isdigit() and int(it) <= iteration:
             kept.append(line)
     return "".join(kept)
-
-
-def _write_trace(out: Path, kept: str, rows: list[tuple]) -> None:
-    (out / "trace.csv").write_text(kept + trace_to_text(rows))

@@ -273,15 +273,11 @@ class TestEval:
 
 class TestGradCheckCommand:
     def test_quick_level_passes(self):
-        r = run_cli("grad-check", "--level", "quick")
+        r = run_cli("grad-check")
         assert r.returncode == 0, r.stdout + r.stderr
-        assert "all" in r.stdout and "passed" in r.stdout
+        assert "all 41 checks passed" in r.stdout
         # one line per check, each naming the op it covered
-        assert sum(1 for l in r.stdout.splitlines() if l.startswith("ok")) > 10
-
-    def test_rejects_unknown_level(self):
-        r = run_cli("grad-check", "--level", "extreme")
-        assert r.returncode == 2
+        assert sum(1 for l in r.stdout.splitlines() if l.startswith("ok")) == 41
 
 
 class TestEnvironment:

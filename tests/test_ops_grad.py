@@ -139,7 +139,7 @@ def test_matmul_transposes_at_most_one_operand():
 
 def test_leaky_relu_uses_configured_slope():
     x = ad.as_tensor(np.array([-2.0, 2.0]))
-    out = ad.leaky_relu(x, 0.2)
+    out = ad.leaky_relu(x)
     np.testing.assert_allclose(out.data, [-0.4, 2.0])
 
 

@@ -8,7 +8,7 @@ import pytest
 from shapegan import trainer
 from shapegan.checkpoint import load_checkpoint, save_checkpoint
 from shapegan.config import TrainConfig
-from shapegan.errors import ConfigurationError, DataError, TrainingAborted
+from shapegan.errors import ConfigurationError, DataError, NumericError, TrainingAborted
 from shapegan.trainer import (
     NET_NAMES,
     build_adam,
@@ -296,6 +296,22 @@ class TestCheckpointing:
         assert (tmp_path / "trace.csv").read_text() == trace
         assert len(trace.splitlines()) == 4
 
+    def test_killed_run_keeps_its_trace(self, tiny_dataset, micro_config, tmp_path):
+        run_training(tiny_dataset, micro_config, out_dir=tmp_path / "full")
+        full = (tmp_path / "full" / "trace.csv").read_text().splitlines(keepends=True)
+
+        class Killed(Exception):
+            pass
+
+        def kill_at_iteration_3(kind, it):
+            if kind == "critic_step" and it == 3:
+                raise Killed
+
+        with pytest.raises(Killed):
+            run_training(tiny_dataset, micro_config, out_dir=tmp_path / "killed",
+                         observer=kill_at_iteration_3)
+        assert (tmp_path / "killed" / "trace.csv").read_text() == "".join(full[:2])
+
     def test_resume_skips_pretraining(self, tiny_dataset, micro_config, tmp_path):
         run_training(tiny_dataset, micro_config, out_dir=tmp_path)
         from shapegan.checkpoint import load_checkpoint
@@ -384,6 +400,28 @@ class TestAbort:
         with pytest.raises(TrainingAborted) as excinfo:
             run_training(tiny_dataset, cfg)
         assert excinfo.value.checkpoint_path is None
+
+    def test_abort_during_pretraining_writes_no_state(
+        self, tiny_dataset, micro_config, tmp_path, monkeypatch
+    ):
+        # a state labelled iteration 0 would let --resume skip pretraining
+        real = trainer.unet_step
+        calls = []
+
+        def fails_second(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 2:
+                raise NumericError("injected")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(trainer, "unet_step", fails_second)
+        cfg = dataclasses.replace(micro_config, unet_pretrain_iters=3)
+        with pytest.raises(TrainingAborted) as excinfo:
+            run_training(tiny_dataset, cfg, out_dir=tmp_path)
+        assert excinfo.value.iteration == 0
+        assert excinfo.value.checkpoint_path is None
+        assert not (tmp_path / "last_good.sgck").exists()
+        assert (tmp_path / "trace.csv").read_text() == ""
 
 
 class TestEarlyStop:
