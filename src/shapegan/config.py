@@ -7,6 +7,7 @@ fall back to a default.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -43,6 +44,11 @@ class TrainConfig:
     shape_reference: str = "prediction"
 
     def validate(self) -> None:
+        # NaN passes every comparison below, so non-finite values go first
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigurationError(f"{f.name} must be finite, got {value!r}")
         if self.n_critic < 1:
             raise ConfigurationError("n_critic must be >= 1")
         if self.batch_size < 2:

@@ -7,6 +7,12 @@ loss checks at 1e-5, and the second-order check (gradient of a
 gradient-norm penalty) at 1e-5. A check whose finite-difference gradients
 are all exactly zero fails: it cannot tell a right backward rule from one
 that returns zeros.
+
+Every check is one ``check_scalar_function`` call. Both of its passes, the
+analytic one and each finite-difference evaluation, run the check's function
+on differentiable leaves, so a function may differentiate with respect to its
+own inputs (the second-order checks do). A check over network parameters
+builds the network over those leaves.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor, backward, no_grad, variable
+from .autodiff import Tensor, backward, variable
 from .networks import Critic, MaskNet, _resize_conv
 from .objectives import (
     dice_loss,
@@ -49,28 +55,6 @@ class CheckResult:
         return f"{status:4s} {self.name:40s} err={self.max_error:.3e} tol={self.tolerance:.0e}"
 
 
-def fd_gradients(
-    func: Callable[[Sequence[np.ndarray]], float],
-    arrays: Sequence[np.ndarray],
-) -> list[np.ndarray]:
-    """Central-difference gradient of a scalar function of several arrays."""
-    arrays = [np.array(a, dtype=np.float64) for a in arrays]
-    grads = []
-    for ai in range(len(arrays)):
-        flat = arrays[ai].reshape(-1)
-        g = np.zeros_like(flat)
-        for i in range(flat.size):
-            keep = flat[i]
-            flat[i] = keep + FD_STEP
-            fp = func(arrays)
-            flat[i] = keep - FD_STEP
-            fm = func(arrays)
-            flat[i] = keep
-            g[i] = (fp - fm) / (2.0 * FD_STEP)
-        grads.append(g.reshape(arrays[ai].shape))
-    return grads
-
-
 def relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     denom = np.maximum(1.0, np.abs(numeric))
     return float(np.max(np.abs(analytic - numeric) / denom)) if analytic.size else 0.0
@@ -91,16 +75,39 @@ def check_scalar_function(
     arrays: Sequence[np.ndarray],
     tolerance: float,
 ) -> CheckResult:
-    """Compare backward() of ``build(leaves)`` against finite differences."""
-    leaves = [variable(np.array(a, dtype=np.float64)) for a in arrays]
-    analytic = backward(build(leaves), leaves)
+    """Compare backward() of ``build(leaves)`` against central differences,
+    evaluating ``build`` on fresh ``variable`` leaves in both passes."""
+    arrays = [np.array(a, dtype=np.float64) for a in arrays]
+    leaves = [variable(a) for a in arrays]
+    analytic = [g.data for g in backward(build(leaves), leaves)]
 
-    def numeric_eval(arrs: Sequence[np.ndarray]) -> float:
-        consts = [ad.as_tensor(np.array(a)) for a in arrs]
-        return build(consts).item()
+    def value() -> float:
+        return build([variable(a) for a in arrays]).item()
 
-    numeric = fd_gradients(numeric_eval, arrays)
-    return CheckResult(name, max_error([a.data for a in analytic], numeric), tolerance)
+    numeric = []
+    for arr in arrays:
+        flat = arr.reshape(-1)  # a view: perturbs ``arr`` in place
+        g = np.zeros_like(flat)
+        for i in range(flat.size):
+            keep = flat[i]
+            flat[i] = keep + FD_STEP
+            fp = value()
+            flat[i] = keep - FD_STEP
+            fm = value()
+            flat[i] = keep
+            g[i] = (fp - fm) / (2.0 * FD_STEP)
+        numeric.append(g.reshape(arr.shape))
+    return CheckResult(name, max_error(analytic, numeric), tolerance)
+
+
+def _checks(tolerance: float):
+    """A result list and the ``run(name, build, arrays)`` that appends to it."""
+    results: list[CheckResult] = []
+
+    def run(name, build, arrays):
+        results.append(check_scalar_function(name, build, arrays, tolerance))
+
+    return results, run
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -123,10 +130,7 @@ def _weighted(out: Tensor, weights: np.ndarray) -> Tensor:
 
 def primitive_checks() -> list[CheckResult]:
     rng = _rng(20260819)
-    results = []
-
-    def run(name, build, arrays):
-        results.append(check_scalar_function(name, build, arrays, TOL_PRIMITIVE))
+    results, run = _checks(TOL_PRIMITIVE)
 
     a = _safe(rng, (3, 4))
     b = _safe(rng, (3, 4))
@@ -201,10 +205,7 @@ def primitive_checks() -> list[CheckResult]:
 
 def conv_checks() -> list[CheckResult]:
     rng = _rng(7051)
-    results = []
-
-    def run(name, build, arrays):
-        results.append(check_scalar_function(name, build, arrays, TOL_PRIMITIVE))
+    results, run = _checks(TOL_PRIMITIVE)
 
     cases = [
         ("conv2d k3 s1 p1", (2, 2, 5, 5), (3, 2, 3, 3), 1, 1),
@@ -262,92 +263,53 @@ def conv_checks() -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 # composite loss checks
 
+def _params_of(net) -> list[np.ndarray]:
+    return [p.data for p in net.params.tensors()]
+
+
+def _critic_over(critic: Critic, leaves: Sequence[Tensor]) -> Critic:
+    """``critic``'s architecture with ``leaves`` as its parameters."""
+    return Critic(dict(zip(critic.params.names(), leaves)), critic.in_features,
+                  critic.hidden)
+
+
 def loss_checks() -> list[CheckResult]:
     rng = _rng(99173)
-    results = []
+    results, run = _checks(TOL_LOSS)
 
     img = rng.uniform(0.1, 0.9, size=(2, 3, 4, 4))
     dec = rng.uniform(0.1, 0.9, size=(2, 3, 4, 4))
-    results.append(
-        check_scalar_function(
-            "loss_reconstruction",
-            lambda t: loss_reconstruction(t[0], t[1]),
-            [img, dec],
-            TOL_LOSS,
-        )
-    )
+    run("loss_reconstruction", lambda t: loss_reconstruction(t[0], t[1]), [img, dec])
 
     pm = rng.uniform(0.05, 0.95, size=(3, 1, 4, 4))
     gm = (rng.random((3, 1, 4, 4)) > 0.5).astype(np.float64)
-    results.append(
-        check_scalar_function(
-            "dice_loss", lambda t: dice_loss(t[0], gm), [pm], TOL_LOSS
-        )
-    )
+    run("dice_loss", lambda t: dice_loss(t[0], gm), [pm])
 
     critic = Critic.build(12, hidden=(8, 5), seed=31)
     fake = rng.standard_normal((3, 12)) * 0.5
     real = rng.standard_normal((3, 12)) * 0.5
     eps = rng.random(3)
-    results.append(
-        check_scalar_function(
-            "loss_generator_adv (features)",
-            lambda t: loss_generator_adv(t[0], critic),
-            [fake],
-            TOL_LOSS,
-        )
+    run("loss_generator_adv (features)", lambda t: loss_generator_adv(t[0], critic), [fake])
+    run(
+        "gradient_penalty (critic params)",
+        lambda t: gradient_penalty(_critic_over(critic, t), real, fake, eps),
+        _params_of(critic),
     )
-    results.append(
-        check_scalar_function(
-            "gradient_penalty (critic params)",
-            lambda t: _with_params(
-                critic, t, lambda: gradient_penalty(critic, real, fake, eps)
-            ),
-            [p.data for p in critic.params.tensors()],
-            TOL_LOSS,
-        )
-    )
-    results.append(
-        check_scalar_function(
-            "loss_critic (critic params)",
-            lambda t: _with_params(
-                critic, t, lambda: loss_critic(real, fake, critic, eps, 10.0)
-            ),
-            [p.data for p in critic.params.tensors()],
-            TOL_LOSS,
-        )
+    run(
+        "loss_critic (critic params)",
+        lambda t: loss_critic(real, fake, _critic_over(critic, t), eps, 10.0),
+        _params_of(critic),
     )
 
     unet = MaskNet.build(3, seed=77)
     src = rng.uniform(0.1, 0.9, size=(1, 3, 8, 8))
     tr = rng.uniform(0.1, 0.9, size=(1, 3, 8, 8))
-    results.append(
-        check_scalar_function(
-            "loss_shape (translated images)",
-            lambda t: loss_shape(t[0], ad.as_tensor(src), unet),
-            [tr],
-            TOL_LOSS,
-        )
+    run(
+        "loss_shape (translated images)",
+        lambda t: loss_shape(t[0], ad.as_tensor(src), unet),
+        [tr],
     )
     return results
-
-
-def _with_params(net, leaf_tensors: Sequence[Tensor], thunk: Callable[[], Tensor]):
-    """Evaluate ``thunk`` with the net's parameters swapped for ``leaf_tensors``.
-
-    Lets one scalar function be reused both for the analytic pass (leaves are
-    differentiable variables) and for finite-difference evals (leaves are
-    perturbed constants). Parameters are restored afterwards.
-    """
-    originals = list(net.params.items())
-    try:
-        for (name, _), leaf in zip(originals, leaf_tensors):
-            swapped = leaf if isinstance(leaf, Tensor) else ad.as_tensor(leaf)
-            net.params._tensors[name] = swapped
-        return thunk()
-    finally:
-        for name, t in originals:
-            net.params._tensors[name] = t
 
 
 # ---------------------------------------------------------------------------
@@ -358,42 +320,32 @@ def second_order_checks() -> list[CheckResult]:
     rng = _rng(55021)
     critic = Critic.build(8, hidden=(6,), seed=13)
     base = rng.standard_normal((3, 8)) * 0.7
+    results, run = _checks(TOL_SECOND_ORDER)
 
-    def penalty_at(point: Tensor, blend: Tensor) -> Tensor:
-        """Penalty on the norm of the critic's gradient at ``blend``, taken
+    def penalty(net: Critic, point: Tensor, blend: Tensor) -> Tensor:
+        """Penalty on the norm of ``net``'s gradient at ``blend``, taken
         wrt ``point``; ``blend`` is ``point`` or a function of it."""
-        (g,) = backward(ad.sum(critic(blend)), [point], higher_order=True)
+        (g,) = backward(ad.sum(net(blend)), [point], higher_order=True)
         return ad.mean(ad.square(ad.sub(ad.l2_norm_per_row(g), 1.0)))
 
-    def penalty_from(blend_data: np.ndarray) -> Tensor:
-        blend = variable(np.array(blend_data))
-        return penalty_at(blend, blend)
+    def penalty_at_base(net: Critic) -> Tensor:
+        blend = variable(base)
+        return penalty(net, blend, blend)
 
     # d penalty / d blend point. The critic is piecewise linear, so its input
     # gradient is flat in the point; squashing the point through a sigmoid
     # first makes that gradient, and so the penalty, vary with it.
-    def squashed_penalty(point: Tensor) -> Tensor:
-        return penalty_at(point, ad.sigmoid(point))
-
-    point = variable(base)
-    (analytic,) = backward(squashed_penalty(point), [point])
-    (numeric,) = fd_gradients(
-        lambda arrs: squashed_penalty(variable(arrs[0])).item(), [base]
+    run(
+        "second_order wrt blend point",
+        lambda t: penalty(critic, t[0], ad.sigmoid(t[0])),
+        [base],
     )
-    return [
-        CheckResult(
-            "second_order wrt blend point",
-            max_error([analytic.data], [numeric]),
-            TOL_SECOND_ORDER,
-        ),
-        # d penalty / d critic parameters
-        check_scalar_function(
-            "second_order wrt critic params",
-            lambda t: _with_params(critic, t, lambda: penalty_from(base)),
-            [p.data for p in critic.params.tensors()],
-            TOL_SECOND_ORDER,
-        ),
-    ]
+    run(
+        "second_order wrt critic params",
+        lambda t: penalty_at_base(_critic_over(critic, t)),
+        _params_of(critic),
+    )
+    return results
 
 
 # ---------------------------------------------------------------------------

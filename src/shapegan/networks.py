@@ -15,6 +15,7 @@ unbounded. Weights are He-initialized from a seeded generator, biases zero.
 from __future__ import annotations
 
 import math
+from typing import Mapping
 
 import numpy as np
 
@@ -50,7 +51,7 @@ def _add_linear(ps: ParamSet, rng, key: str, in_f: int, out_f: int):
     ps.add(f"{key}.b", np.zeros(out_f))
 
 
-def _conv(x: Tensor, ps: ParamSet, key: str, stride: int, pad: int) -> Tensor:
+def _conv(x: Tensor, ps: Mapping[str, Tensor], key: str, stride: int, pad: int) -> Tensor:
     return ad.add(ad.conv2d(x, ps[f"{key}.w"], stride, pad), ps[f"{key}.b"])
 
 
@@ -61,7 +62,7 @@ _RESIZE_TAPS = np.array(
 )
 
 
-def _resize_conv(x: Tensor, ps: ParamSet, key: str) -> Tensor:
+def _resize_conv(x: Tensor, ps: Mapping[str, Tensor], key: str) -> Tensor:
     """Nearest 2x upsampling, then the 3x3, stride-1, pad-1 conv ``key``.
 
     Output pixel 2a + p reads source pixels a - 1, a, a (p = 0) or a, a,
@@ -73,7 +74,7 @@ def _resize_conv(x: Tensor, ps: ParamSet, key: str) -> Tensor:
     return ad.add(ad.conv_transpose2d(x, kernel, 2, 1), ps[f"{key}.b"])
 
 
-def _linear(x: Tensor, ps: ParamSet, key: str) -> Tensor:
+def _linear(x: Tensor, ps: Mapping[str, Tensor], key: str) -> Tensor:
     return ad.add(ad.matmul(x, ps[f"{key}.w"]), ps[f"{key}.b"])
 
 
@@ -177,7 +178,8 @@ class Interpolator:
 class Critic:
     """Feature scorer: flatten + linear stack, unbounded scalar output."""
 
-    def __init__(self, params: ParamSet, in_features: int, hidden: tuple[int, ...]):
+    def __init__(self, params: Mapping[str, Tensor], in_features: int,
+                 hidden: tuple[int, ...]):
         self.params = params
         self.in_features = in_features
         self.hidden = hidden
@@ -270,7 +272,7 @@ def _alpha_tensor(alpha, batch: int, ndim: int) -> Tensor:
         raise UsageError(
             f"alpha must be a scalar or one value per sample, got shape {arr.shape}"
         )
-    if np.any(arr < 0.0) or np.any(arr > 1.0):
+    if not np.all((arr >= 0.0) & (arr <= 1.0)):  # NaN fails both
         raise UsageError(f"alpha must lie in [0, 1], got {arr}")
     return ad.as_tensor(arr.reshape((arr.size,) + (1,) * (ndim - 1)))
 

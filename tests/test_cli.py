@@ -104,6 +104,15 @@ class TestTrain:
         assert r.returncode == 2
         assert "KEY=VALUE" in r.stderr
 
+    def test_non_finite_config_value_exits_2_without_output(self, workspace,
+                                                            tmp_path):
+        out = tmp_path / "run"
+        r = run_cli("train", "--data", str(workspace["data"]),
+                    "--out", str(out), "--set", "lambda_shape=nan")
+        assert r.returncode == 2
+        assert "lambda_shape must be finite" in r.stderr
+        assert not out.exists()
+
     def test_resume_conflicts_with_config_flags(self, workspace, tmp_path):
         r = run_cli("train", "--data", str(workspace["data"]),
                     "--out", str(tmp_path),
@@ -216,6 +225,16 @@ class TestInterpolate:
         assert r.returncode == 2
         assert "alpha" in r.stderr
 
+    def test_nan_alpha_exits_2(self, workspace, tmp_path):
+        out = tmp_path / "g.ppm"
+        r = run_cli("interpolate", "--ckpt", str(workspace["trained_ckpt"]),
+                    "--source", str(workspace["data"] / "images" / "train_d0_0000.ppm"),
+                    "--target", str(workspace["data"] / "images" / "train_d1_0000.ppm"),
+                    "--alphas", "0.5,nan", "--out", str(out))
+        assert r.returncode == 2
+        assert "alpha must lie in [0, 1]" in r.stderr
+        assert not out.exists()
+
     def test_borders_are_the_input_images(self, workspace, tmp_path):
         src_path = workspace["data"] / "images" / "train_d0_0001.ppm"
         tgt_path = workspace["data"] / "images" / "train_d1_0001.ppm"
@@ -252,6 +271,15 @@ class TestEval:
         assert len(lines) == 1 + 3 * 2
         assert (tmp_path / "report.txt").exists()
         assert "real held-out" in r.stdout
+
+    def test_nan_alpha_exits_2(self, workspace, tmp_path):
+        out = tmp_path / "report.csv"
+        r = run_cli("eval", "--ckpt", str(workspace["init_ckpt"]),
+                    "--data", str(workspace["data"]), "--out", str(out),
+                    "--alpha", "nan")
+        assert r.returncode == 2
+        assert "alpha must lie in [0, 1]" in r.stderr
+        assert not out.exists()
 
     def test_report_requires_ablation_flag(self, workspace, tmp_path):
         r = run_cli("report", "--ckpt", str(workspace["trained_ckpt"]),

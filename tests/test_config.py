@@ -103,6 +103,12 @@ def test_parse_rejects_empty_key():
     ("adam_beta2", -0.5, "betas"),
     ("adam_epsilon", 0.0, "adam_epsilon"),
     ("shape_reference", "oracle", "shape_reference"),
+    ("lambda_shape", float("nan"), "lambda_shape must be finite"),
+    ("lambda_gp", float("inf"), "lambda_gp must be finite"),
+    ("lr_critic", float("nan"), "lr_critic must be finite"),
+    ("adam_epsilon", float("inf"), "adam_epsilon must be finite"),
+    ("adam_beta1", float("nan"), "adam_beta1 must be finite"),
+    ("lambda_adv", float("-inf"), "lambda_adv must be finite"),
 ])
 def test_validate_rejects(field, value, message):
     cfg = dataclasses.replace(TrainConfig(), **{field: value})

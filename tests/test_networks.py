@@ -172,6 +172,10 @@ class TestInterpolation:
             interpolate(self.fx, self.fy, 1.5, "linear")
         with pytest.raises(UsageError):
             interpolate(self.fx, self.fy, -0.1, "linear")
+        with pytest.raises(UsageError, match=r"\[0, 1\]"):
+            interpolate(self.fx, self.fy, float("nan"), "linear")
+        with pytest.raises(UsageError, match=r"\[0, 1\]"):
+            interpolate(self.fx, self.fy, np.array([0.5, np.nan, 1.0]), "linear")
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(UsageError):

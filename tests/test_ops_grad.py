@@ -208,3 +208,15 @@ def test_zero_gradient_on_one_array_of_a_check_is_allowed():
         TOL_PRIMITIVE,
     )
     assert result.passed
+
+
+def test_check_of_a_function_that_differentiates_inside():
+    # both passes hand ``build`` differentiable leaves, so it may call
+    # backward on them; d/dt sum(exp(t)^2) = 2 exp(2t)
+    def build(t):
+        (g,) = backward(ad.sum(ad.exp(t[0])), [t[0]], higher_order=True)
+        return ad.sum(ad.square(g))
+
+    x = np.array([[-0.4, 0.1, 0.7], [0.3, -0.9, 0.2]])
+    result = check_scalar_function("grad inside", build, [x], TOL_PRIMITIVE)
+    assert result.passed, str(result)
