@@ -3,8 +3,26 @@
 Three mutually adjoint operations close the set under differentiation:
 ``conv2d``, its input adjoint ``conv_transpose2d``, and the kernel adjoint
 ``conv_kernel_grad``. Each one's backward rule is expressed with the other
-two, so all of them support higher-order gradients. The fast paths run on
-im2col buffers and BLAS matmul.
+two, so all of them support higher-order gradients.
+
+Two data paths run them on BLAS matmul. The gather path builds an im2col
+buffer over its input and multiplies it by the kernel (``conv2d``'s own
+form); the scatter path multiplies first and adds the windows back with
+``_col2im`` (``conv_transpose2d``'s own form). Either buffer is k*k times
+the size of the operand it is built over. At stride 1 a transposed
+convolution is a convolution with the kernel channel-swapped and spatially
+flipped, and padded by k - 1 - pad (Dumoulin & Visin, arXiv 1603.07285):
+
+    conv2d(x, K, 1, p) == conv_transpose2d(x, flip(K), 1, k - 1 - p)
+
+where ``flip(K)[c, f, i, j] = K[f, c, k-1-i, k-1-j]``. So at stride 1, with
+a square kernel larger than 1x1, each primitive builds its buffer over the
+thinner side: when the kernel's F output channels are fewer than its C input
+channels, ``conv2d`` scatters through the flipped kernel,
+``conv_transpose2d`` gathers over its F-channel input, and
+``conv_kernel_grad`` builds im2col over the cotangent and flips the result.
+Every other geometry keeps the primitive's own path. The two paths agree to
+rounding, not bitwise.
 """
 
 from __future__ import annotations
@@ -69,12 +87,17 @@ def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int) -> np.ndarra
     return np.ascontiguousarray(windows)
 
 
-def _tap_slices(i: int, stride: int, pad: int, size: int, n_out: int) -> tuple[slice, slice]:
-    """Where tap ``i`` lands inside [0, size) of the unpadded grid, and which
-    output positions land there."""
+def _tap_slices(
+    i: int, stride: int, pad: int, size: int, n_out: int
+) -> tuple[int, slice, slice]:
+    """Where tap ``i`` lands inside [0, size) of the unpadded grid: the output
+    phase (grid position mod stride), the positions inside that phase's
+    sub-grid, and which window positions land there."""
     lo = max(0, -((i - pad) // stride))
     hi = max(lo, min(n_out, (size - 1 + pad - i) // stride + 1))
-    return slice(i + stride * lo - pad, i + stride * hi - pad, stride), slice(lo, hi)
+    phase = (i - pad) % stride
+    first = (i + stride * lo - pad - phase) // stride
+    return phase, slice(first, first + hi - lo), slice(lo, hi)
 
 
 def _col2im(
@@ -82,23 +105,79 @@ def _col2im(
 ) -> np.ndarray:
     """Scatter-add (N, C, kh, kw, Ho, Wo) windows back onto an (N, C, H, W) grid.
 
-    Taps are added in (i, j) order straight into the unpadded grid; the
-    contributions that would land in the padding are never read.
+    Each output phase (row and column mod stride) is a contiguous sub-grid
+    that sums its own taps from zeros in (i, j) order and is written to the
+    grid once; at stride 1 the only phase is the grid itself. Contributions
+    that would land in the padding are never read.
     """
     n, c, kh, kw, ho, wo = cols.shape
+    rows = [_tap_slices(i, stride, pad, h, ho) for i in range(kh)]
+    columns = [_tap_slices(j, stride, pad, w, wo) for j in range(kw)]
     x = np.zeros((n, c, h, w))
-    for i in range(kh):
-        rows, row_src = _tap_slices(i, stride, pad, h, ho)
-        for j in range(kw):
-            columns, col_src = _tap_slices(j, stride, pad, w, wo)
-            x[:, :, rows, columns] += cols[:, :, i, j, row_src, col_src]
+    for pr in range(stride):
+        row_taps = [(i, dst, src) for i, (p, dst, src) in enumerate(rows) if p == pr]
+        for pc in range(stride):
+            col_taps = [(j, dst, src) for j, (p, dst, src) in enumerate(columns) if p == pc]
+            grid = x if stride == 1 else np.zeros(
+                (n, c, len(range(pr, h, stride)), len(range(pc, w, stride)))
+            )
+            for i, row_dst, row_src in row_taps:
+                for j, col_dst, col_src in col_taps:
+                    grid[:, :, row_dst, col_dst] += cols[:, :, i, j, row_src, col_src]
+            if stride > 1:
+                x[:, :, pr::stride, pc::stride] = grid
     return x
+
+
+def _flipped(kernel: np.ndarray) -> np.ndarray:
+    """(A, B, k, k) -> (B, A, k, k) with both spatial axes reversed."""
+    return kernel.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1]
+
+
+def _thin_f(f: int, c: int, kh: int, kw: int, stride: int, pad: int) -> bool:
+    """Whether a conv with an (F, C, kh, kw) kernel builds its buffer over
+    the F side: stride 1, a square kernel larger than 1x1 whose flipped form
+    needs no negative padding, and F < C."""
+    return stride == 1 and kh == kw > 1 and pad < kh and f < c
+
+
+def _gather(x: np.ndarray, kernel: np.ndarray, stride: int, pad: int) -> np.ndarray:
+    """conv2d of (N, C, H, W) with (F, C, kh, kw): im2col over x, one GEMM."""
+    n, c, h, w = x.shape
+    f, _, kh, kw = kernel.shape
+    ho, wo = _out_hw(h, w, kh, kw, stride, pad)
+    cols = _im2col(x, kh, kw, stride, pad).reshape(n, c * kh * kw, ho * wo)
+    return np.matmul(kernel.reshape(f, c * kh * kw), cols).reshape(n, f, ho, wo)
+
+
+def _scatter(
+    v: np.ndarray, kernel: np.ndarray, h: int, w: int, stride: int, pad: int
+) -> np.ndarray:
+    """conv_transpose2d of (N, F, Hv, Wv) with (F, C, kh, kw) onto (N, C, h, w):
+    one GEMM, then ``_col2im``."""
+    n, f, hv, wv = v.shape
+    _, c, kh, kw = kernel.shape
+    kmat = kernel.reshape(f, c * kh * kw)
+    cols = np.matmul(kmat.T, v.reshape(n, f, hv * wv)).reshape(n, c, kh, kw, hv, wv)
+    return _col2im(cols, h, w, stride, pad)
+
+
+def _kernel_grad(
+    x: np.ndarray, cot: np.ndarray, kh: int, kw: int, stride: int, pad: int
+) -> np.ndarray:
+    """conv_kernel_grad of (N, C, H, W) and (N, F, Ho, Wo): im2col over x."""
+    n, c, _, _ = x.shape
+    _, f, ho, wo = cot.shape
+    cols = _im2col(x, kh, kw, stride, pad).reshape(n, c * kh * kw, ho * wo)
+    gmat = cot.reshape(n, f, ho * wo)
+    # batched (f, howo) @ (howo, ckk), summed over the batch
+    return np.matmul(gmat, cols.transpose(0, 2, 1)).sum(axis=0).reshape(f, c, kh, kw)
 
 
 def conv2d(x, kernel, stride: int = 1, pad: int = 0) -> Tensor:
     """Cross-correlate (N, C, H, W) with an (F, C, kh, kw) kernel."""
     x, kernel = _operands("conv2d", x, kernel)
-    n, c, h, w = x.shape
+    _, c, h, w = x.shape
     f, kc, kh, kw = kernel.shape
     if kc != c:
         raise ConfigurationError(
@@ -106,9 +185,10 @@ def conv2d(x, kernel, stride: int = 1, pad: int = 0) -> Tensor:
         )
     ho, wo = _check_geometry("conv2d", h, w, kh, kw, stride, pad)
 
-    cols = _im2col(x.data, kh, kw, stride, pad).reshape(n, c * kh * kw, ho * wo)
-    kmat = kernel.data.reshape(f, c * kh * kw)
-    data = np.matmul(kmat, cols).reshape(n, f, ho, wo)
+    if _thin_f(f, c, kh, kw, stride, pad):
+        data = _scatter(x.data, _flipped(kernel.data), ho, wo, 1, kh - 1 - pad)
+    else:
+        data = _gather(x.data, kernel.data, stride, pad)
 
     def vjp(g, out):
         gx = (
@@ -135,7 +215,7 @@ def conv_transpose2d(
     evenly; by default the minimal consistent size is used.
     """
     v, kernel = _operands("conv_transpose2d", v, kernel)
-    n, fv, hv, wv = v.shape
+    _, fv, hv, wv = v.shape
     f, c, kh, kw = kernel.shape
     if fv != f:
         raise ConfigurationError(
@@ -146,10 +226,10 @@ def conv_transpose2d(
     h, w = out_hw
     _check_geometry("conv_transpose2d", h, w, kh, kw, stride, pad, (hv, wv))
 
-    kmat = kernel.data.reshape(f, c * kh * kw)
-    vmat = v.data.reshape(n, f, hv * wv)
-    cols = np.matmul(kmat.T, vmat).reshape(n, c, kh, kw, hv, wv)
-    data = _col2im(cols, h, w, stride, pad)
+    if _thin_f(f, c, kh, kw, stride, pad):
+        data = _gather(v.data, _flipped(kernel.data), 1, kh - 1 - pad)
+    else:
+        data = _scatter(v.data, kernel.data, h, w, stride, pad)
 
     def vjp(g, out):
         gv = conv2d(g, kernel, stride, pad) if _needs(v) else None
@@ -180,10 +260,12 @@ def conv_kernel_grad(
         )
     _check_geometry("conv_kernel_grad", h, w, kh, kw, stride, pad, (ho, wo))
 
-    cols = _im2col(x.data, kh, kw, stride, pad).reshape(n, c * kh * kw, ho * wo)
-    gmat = cot.data.reshape(n, f, ho * wo)
-    # batched (f, howo) @ (howo, ckk), summed over the batch
-    data = np.matmul(gmat, cols.transpose(0, 2, 1)).sum(axis=0).reshape(f, c, kh, kw)
+    if _thin_f(f, c, kh, kw, stride, pad):
+        data = np.ascontiguousarray(
+            _flipped(_kernel_grad(cot.data, x.data, kh, kw, 1, kh - 1 - pad))
+        )
+    else:
+        data = _kernel_grad(x.data, cot.data, kh, kw, stride, pad)
 
     def vjp(g, out):
         # d/dx <conv_kernel_grad(x, v), g> = conv_transpose2d(v, g)

@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Mapping
+
 import numpy as np
 
 from ..errors import UsageError
 from .tensor import Tensor
 
 
-class ParamSet:
+class ParamSet(Mapping[str, Tensor]):
     """Ordered mapping of parameter names to differentiable leaf tensors.
 
     Order is insertion order and is part of the contract: gradients and
@@ -29,6 +31,9 @@ class ParamSet:
     def __getitem__(self, key: str) -> Tensor:
         return self._tensors[key]
 
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._tensors)
+
     def __len__(self) -> int:
         return len(self._tensors)
 
@@ -37,6 +42,3 @@ class ParamSet:
 
     def tensors(self) -> list[Tensor]:
         return list(self._tensors.values())
-
-    def items(self):
-        return self._tensors.items()

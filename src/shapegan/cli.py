@@ -105,14 +105,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _parse_alphas(text: str):
     from .errors import UsageError
+    from .networks import check_alpha
 
     parts = [p.strip() for p in text.split(",") if p.strip() != ""]
     if not parts:
         raise UsageError(f"empty alpha list: {text!r}")
     try:
-        return tuple(float(p) for p in parts)
+        alphas = tuple(float(p) for p in parts)
     except ValueError:
         raise UsageError(f"malformed alpha list: {text!r}") from None
+    check_alpha(alphas)
+    return alphas
 
 
 def _cmd_gen_data(args) -> int:
@@ -195,9 +198,11 @@ def _cmd_interpolate(args) -> int:
 
 def _cmd_eval(args) -> int:
     from .evaluation import build_report, train_quality_classifier, write_report
+    from .networks import check_alpha
     from .synth import load_dataset
     from .trainer import load_state
 
+    check_alpha(args.alpha)
     dataset = load_dataset(args.data)
     state, _ = load_state(args.ckpt)
     ablation_nets = None

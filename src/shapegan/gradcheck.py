@@ -257,6 +257,29 @@ def conv_checks() -> list[CheckResult]:
         lambda t: _weighted(_resize_conv(t[0], {"r.w": t[1], "r.b": bias}, "r"), wr),
         [x, k],
     )
+
+    # F < C at stride 1: each primitive builds its buffer over the F side
+    x = _safe(rng, (2, 3, 5, 5))
+    k = _safe(rng, (2, 3, 3, 3))
+    wy = rng.standard_normal((2, 2, 5, 5))
+    run(
+        "conv2d k3 s1 p1 F<C",
+        lambda t: _weighted(ad.conv2d(t[0], t[1], 1, 1), wy),
+        [x, k],
+    )
+    v = _safe(rng, (2, 2, 5, 5))
+    wx = rng.standard_normal((2, 3, 5, 5))
+    run(
+        "conv_transpose2d k3 s1 p1 F<C",
+        lambda t: _weighted(ad.conv_transpose2d(t[0], t[1], 1, 1), wx),
+        [v, k],
+    )
+    wk = rng.standard_normal((2, 3, 3, 3))
+    run(
+        "conv_kernel_grad k3 s1 p1 F<C",
+        lambda t: _weighted(ad.conv_kernel_grad(t[0], t[1], 3, 3, 1, 1), wk),
+        [x, v],
+    )
     return results
 
 

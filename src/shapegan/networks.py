@@ -264,6 +264,13 @@ class MaskNet:
         return ad.sigmoid(_conv(u0, ps, "out", 1, 0))
 
 
+def check_alpha(alpha) -> None:
+    """Reject ``alpha`` (a scalar or a sequence) unless every value lies in [0, 1]."""
+    arr = np.asarray(alpha, dtype=np.float64)
+    if not np.all((arr >= 0.0) & (arr <= 1.0)):  # NaN fails both
+        raise UsageError(f"alpha must lie in [0, 1], got {arr}")
+
+
 def _alpha_tensor(alpha, batch: int, ndim: int) -> Tensor:
     arr = np.asarray(alpha, dtype=np.float64)
     if arr.ndim == 0:
@@ -272,8 +279,7 @@ def _alpha_tensor(alpha, batch: int, ndim: int) -> Tensor:
         raise UsageError(
             f"alpha must be a scalar or one value per sample, got shape {arr.shape}"
         )
-    if not np.all((arr >= 0.0) & (arr <= 1.0)):  # NaN fails both
-        raise UsageError(f"alpha must lie in [0, 1], got {arr}")
+    check_alpha(arr)
     return ad.as_tensor(arr.reshape((arr.size,) + (1,) * (ndim - 1)))
 
 

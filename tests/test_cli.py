@@ -1,5 +1,6 @@
 """End-to-end command-line tests, each in its own subprocess."""
 
+import os
 import shutil
 import subprocess
 import sys
@@ -7,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from shapegan import netpbm
+from shapegan import cli, netpbm
 
 
 def run_cli(*argv, env=None):
@@ -299,13 +300,55 @@ class TestEval:
         assert no_shape and all(not l.endswith(",-,-,-,-,-") for l in no_shape)
 
 
+class TestAlphaCheckedFirst:
+    """A bad alpha exits 2 before any checkpoint, image or dataset is read and
+    before the classifier trains; run in-process with those stubbed to fail."""
+
+    @pytest.fixture(autouse=True)
+    def nothing_loads(self, monkeypatch):
+        import shapegan.evaluation
+        import shapegan.netpbm
+        import shapegan.synth
+        import shapegan.trainer
+
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("called before the alpha was checked")
+
+        monkeypatch.setattr(shapegan.trainer, "load_state", must_not_run)
+        monkeypatch.setattr(shapegan.evaluation, "train_quality_classifier", must_not_run)
+        monkeypatch.setattr(shapegan.synth, "load_dataset", must_not_run)
+        monkeypatch.setattr(shapegan.netpbm, "read_image", must_not_run)
+        # main() sets the BLAS thread variables; keep them scoped to the test
+        for var in cli._THREAD_VARS:
+            monkeypatch.setenv(var, os.environ.get(var, "1"))
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--alpha", "nan"],
+        ["eval", "--alpha", "2"],
+        ["report", "--ablation", "none.sgck", "--alpha", "-0.5"],
+    ])
+    def test_eval_alpha(self, argv, tmp_path, capsys):
+        argv = [*argv, "--ckpt", "none.sgck", "--data", "none",
+                "--out", str(tmp_path / "report.csv")]
+        assert cli.main(argv) == 2
+        assert "alpha must lie in [0, 1]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("alphas", ["0.5,nan", "0.5,1.5"])
+    def test_interpolate_alphas(self, alphas, tmp_path, capsys):
+        argv = ["interpolate", "--ckpt", "none.sgck", "--source", "a.ppm",
+                "--target", "b.ppm", "--alphas", alphas,
+                "--out", str(tmp_path / "g.ppm")]
+        assert cli.main(argv) == 2
+        assert "alpha must lie in [0, 1]" in capsys.readouterr().err
+
+
 class TestGradCheckCommand:
     def test_quick_level_passes(self):
         r = run_cli("grad-check")
         assert r.returncode == 0, r.stdout + r.stderr
-        assert "all 41 checks passed" in r.stdout
+        assert "all 44 checks passed" in r.stdout
         # one line per check, each naming the op it covered
-        assert sum(1 for l in r.stdout.splitlines() if l.startswith("ok")) == 41
+        assert sum(1 for l in r.stdout.splitlines() if l.startswith("ok")) == 44
 
 
 class TestEnvironment:

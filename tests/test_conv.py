@@ -5,8 +5,10 @@ import pytest
 
 from shapegan import autodiff as ad
 from shapegan.autodiff import backward, variable
+from shapegan.autodiff import conv as conv_module
 from shapegan.autodiff.conv import _col2im, _out_hw
 from shapegan.errors import ConfigurationError
+from shapegan.evaluation import train_quality_classifier
 from shapegan.gradcheck import conv_checks
 
 
@@ -35,6 +37,10 @@ CASES = [
     ((2, 2, 8, 8), (2, 2, 1, 1), 1, 0),
     ((1, 1, 6, 6), (2, 1, 2, 2), 2, 0),
     ((1, 3, 5, 7), (2, 3, 3, 3), 1, 2),
+    # stride 1, square kernel: F < C builds the buffer over the output side
+    ((2, 5, 6, 6), (2, 5, 3, 3), 1, 1),
+    ((2, 2, 6, 5), (5, 2, 3, 3), 1, 1),
+    ((1, 4, 7, 6), (2, 4, 5, 5), 1, 2),
 ]
 
 
@@ -46,6 +52,53 @@ def test_conv2d_matches_bruteforce(xs, ks, stride, pad):
     fast = ad.conv2d(ad.as_tensor(x), ad.as_tensor(k), stride, pad).data
     slow = conv2d_oracle(x, k, stride, pad)
     np.testing.assert_allclose(fast, slow, atol=1e-12)
+
+
+@pytest.mark.parametrize("xs,ks,stride,pad", CASES)
+def test_adjoints_of_the_oracle_cases(xs, ks, stride, pad):
+    # conv_transpose2d and conv_kernel_grad on the oracle's geometries
+    rng = np.random.default_rng(hash((ks, xs, pad, stride)) % 2**32)
+    x = rng.standard_normal(xs)
+    k = rng.standard_normal(ks)
+    y = conv2d_oracle(x, k, stride, pad)
+    v = rng.standard_normal(y.shape)
+    xt = ad.conv_transpose2d(
+        ad.as_tensor(v), ad.as_tensor(k), stride, pad, out_hw=xs[2:]
+    ).data
+    gk = ad.conv_kernel_grad(
+        ad.as_tensor(x), ad.as_tensor(v), ks[2], ks[3], stride, pad
+    ).data
+    lhs = np.sum(y * v)
+    assert abs(lhs - np.sum(x * xt)) <= 1e-10 * max(1.0, abs(lhs))
+    assert abs(lhs - np.sum(k * gk)) <= 1e-10 * max(1.0, abs(lhs))
+    assert gk.flags.c_contiguous
+
+
+@pytest.mark.parametrize("f,c", [(2, 6), (6, 2), (4, 4)])
+@pytest.mark.parametrize("k,pad", [(3, 1), (5, 2), (3, 0)])
+def test_stride_one_buffer_is_built_over_the_thinner_operand(monkeypatch, f, c, k, pad):
+    # record the channel count of every k*k buffer: the operand that
+    # _im2col windows, or the columns that _col2im scatters
+    built = []
+    im2col, col2im = conv_module._im2col, conv_module._col2im
+
+    def im2col_spy(x, *args):
+        built.append(x.shape[1])
+        return im2col(x, *args)
+
+    def col2im_spy(cols, *args):
+        built.append(cols.shape[1])
+        return col2im(cols, *args)
+
+    monkeypatch.setattr(conv_module, "_im2col", im2col_spy)
+    monkeypatch.setattr(conv_module, "_col2im", col2im_spy)
+    rng = np.random.default_rng(f * 100 + c * 10 + k)
+    x = ad.as_tensor(rng.standard_normal((2, c, 7, 7)))
+    kernel = ad.as_tensor(rng.standard_normal((f, c, k, k)))
+    y = ad.conv2d(x, kernel, 1, pad)
+    ad.conv_transpose2d(y, kernel, 1, pad, out_hw=(7, 7))
+    ad.conv_kernel_grad(x, y, k, k, 1, pad)
+    assert built == [min(f, c)] * 3
 
 
 def test_input_adjoint_identity():
@@ -162,6 +215,29 @@ def test_col2im_equals_padded_scatter_bitwise(stride, pad, k):
             continue
         ho, wo = _out_hw(h, w, k, k, stride, pad)
         cols = rng.standard_normal((2, 3, k, k, ho, wo))
+        # signed zeros: a pixel whose taps are all -0.0 sums to +0.0 from zeros
+        cols[rng.random(cols.shape) < 0.5] = -0.0
         got = _col2im(cols, h, w, stride, pad)
         assert got.flags.c_contiguous
-        np.testing.assert_array_equal(got, col2im_padded_reference(cols, h, w, stride, pad))
+        want = col2im_padded_reference(cols, h, w, stride, pad)
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_classifier_training_matches_the_tap_by_tap_scatter_bitwise(monkeypatch, tiny_dataset):
+    # every conv of the quality classifier is stride 2, so its training runs
+    # the phase scatter and no stride-1 path choice
+    def train():
+        clf, acc = train_quality_classifier(tiny_dataset, seed=0, steps=10, batch_size=8)
+        return [clf.params[key].data.tobytes() for key in clf.params.names()], acc
+
+    strides = []
+
+    def tap_by_tap(cols, h, w, stride, pad):
+        strides.append(stride)
+        return np.ascontiguousarray(col2im_padded_reference(cols, h, w, stride, pad))
+
+    phase = train()
+    monkeypatch.setattr(conv_module, "_col2im", tap_by_tap)
+    assert train() == phase
+    assert strides and set(strides) == {2}

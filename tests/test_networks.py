@@ -1,5 +1,7 @@
 """Network construction, shapes, determinism, and interpolation identities."""
 
+from collections.abc import Mapping
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -107,6 +109,14 @@ class TestInitialization:
                     np.testing.assert_array_equal(
                         net.params[name].data, np.zeros_like(net.params[name].data)
                     )
+
+    def test_param_set_is_an_ordered_mapping(self):
+        ps = MaskNet.build(seed=3).params
+        assert isinstance(ps, Mapping)
+        assert list(ps) == ps.names()
+        assert list(ps.keys()) == ps.names()
+        assert [t for _, t in ps.items()] == ps.tensors()
+        assert "enc0.w" in ps and "nope" not in ps
 
     def test_distinct_inputs_give_distinct_features(self):
         enc = Encoder.build(3, 32, seed=11)
