@@ -24,6 +24,9 @@ from .trainer import NetBundle
 EVAL_ALPHAS = (0.25, 0.5, 0.75, 1.0)
 GRID_ALPHAS = (0.0,) + EVAL_ALPHAS
 MASK_THRESHOLD = 0.5
+# the quality classifier's early stop; see train_quality_classifier
+STOP_CHECK_EVERY = 25
+STOP_PATIENCE = 2
 
 
 def set_dice(a: np.ndarray, b: np.ndarray) -> float:
@@ -201,7 +204,17 @@ def train_quality_classifier(
     lr: float = 1e-3,
 ) -> tuple[SmallClassifier, float]:
     """Train the domain classifier on the train split; returns it together
-    with its held-out accuracy on the eval split."""
+    with its held-out accuracy on the eval split.
+
+    ``steps`` is a cap. Every ``STOP_CHECK_EVERY`` steps the classifier
+    predicts the whole train split, and training stops once it has been
+    right on every train image at ``STOP_PATIENCE`` checks in a row. The
+    rule never reads the eval split, and the checks draw nothing from the
+    RNG, so a run that stops at step s equals a run with ``steps=s``.
+    """
+    eval_idx = dataset.eval_indices()
+    if len(eval_idx) == 0:
+        raise UsageError("dataset has no eval split to score the classifier on")
     domains = dataset.domain_ids
     labels_all = np.array([domains.index(int(d)) for d in dataset.domains])
     clf = SmallClassifier.build(
@@ -211,14 +224,19 @@ def train_quality_classifier(
     rng = np.random.Generator(np.random.PCG64(derive_seed(seed, 22)))
     train_idx = dataset.train_indices()
     take = min(batch_size, len(train_idx))
-    for _ in range(steps):
+    perfect_checks = 0
+    for step in range(1, steps + 1):
         sel = rng.choice(train_idx, size=take, replace=False)
         loss = cross_entropy(clf(ad.as_tensor(dataset.images[sel])), labels_all[sel])
         grads = backward(loss, clf.params.tensors())
         adam_step(clf.params, grads, adam)
-    eval_idx = dataset.eval_indices()
-    if len(eval_idx) == 0:
-        raise UsageError("dataset has no eval split to score the classifier on")
+        if step % STOP_CHECK_EVERY == 0:
+            train_right = np.array_equal(
+                clf.predict(dataset.images[train_idx]), labels_all[train_idx]
+            )
+            perfect_checks = perfect_checks + 1 if train_right else 0
+            if perfect_checks == STOP_PATIENCE:
+                break
     acc = float(
         np.mean(clf.predict(dataset.images[eval_idx]) == labels_all[eval_idx])
     )

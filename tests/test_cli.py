@@ -299,6 +299,29 @@ class TestEval:
                     if ",translated no-shape," in l]
         assert no_shape and all(not l.endswith(",-,-,-,-,-") for l in no_shape)
 
+    def test_missing_eval_split_exits_2_before_training(self, workspace,
+                                                         tmp_path, monkeypatch,
+                                                         capsys):
+        # in-process, with the classifier's optimiser stubbed to fail
+        import shapegan.evaluation
+
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("the classifier trained before the check")
+
+        monkeypatch.setattr(shapegan.evaluation, "adam_step", must_not_run)
+        # main() sets the BLAS thread variables; keep them scoped to the test
+        for var in cli._THREAD_VARS:
+            monkeypatch.setenv(var, os.environ.get(var, "1"))
+        data = tmp_path / "no-eval"
+        assert cli.main(["gen-data", "--out", str(data), "--n-per-domain", "6",
+                         "--paired-frac", "0"]) == 0
+        out = tmp_path / "report.csv"
+        argv = ["eval", "--ckpt", str(workspace["init_ckpt"]),
+                "--data", str(data), "--out", str(out)]
+        assert cli.main(argv) == 2
+        assert "no eval split" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestAlphaCheckedFirst:
     """A bad alpha exits 2 before any checkpoint, image or dataset is read and

@@ -1,5 +1,7 @@
 """Evaluation metrics, the quality classifier, and report assembly."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -284,6 +286,53 @@ class TestQualityClassifier:
         assert acc_a == acc_b
         for key in a.params.names():
             assert np.array_equal(a.params[key].data, b.params[key].data)
+
+    @pytest.fixture
+    def steps_taken(self, monkeypatch):
+        """Records each optimiser step the classifier takes."""
+        from shapegan import evaluation
+
+        calls = []
+        step = evaluation.adam_step
+
+        def counted(*args):
+            calls.append(1)
+            return step(*args)
+
+        monkeypatch.setattr(evaluation, "adam_step", counted)
+        return calls
+
+    @staticmethod
+    def param_bytes(clf):
+        return [clf.params[key].data.tobytes() for key in clf.params.names()]
+
+    def test_early_stop_equals_the_run_capped_there(self, tiny_dataset,
+                                                    steps_taken):
+        clf, acc = train_quality_classifier(tiny_dataset, seed=0)
+        stopped_at = len(steps_taken)
+        assert stopped_at < 400
+        assert stopped_at % 25 == 0
+        capped, capped_acc = train_quality_classifier(tiny_dataset, seed=0,
+                                                      steps=stopped_at)
+        assert len(steps_taken) == 2 * stopped_at
+        assert self.param_bytes(capped) == self.param_bytes(clf)
+        assert np.float64(capped_acc).tobytes() == np.float64(acc).tobytes()
+
+    def test_short_runs_take_every_step(self, tiny_dataset, steps_taken):
+        train_quality_classifier(tiny_dataset, seed=0, steps=10, batch_size=8)
+        assert len(steps_taken) == 10
+
+    def test_eval_split_never_reaches_training(self, tiny_dataset, steps_taken):
+        clf, _ = train_quality_classifier(tiny_dataset, seed=0)
+        stopped_at = len(steps_taken)
+        images = tiny_dataset.images.copy()
+        eval_idx = tiny_dataset.eval_indices()
+        noise = np.random.Generator(np.random.PCG64(7))
+        images[eval_idx] = noise.random(images[eval_idx].shape)
+        noisy = dataclasses.replace(tiny_dataset, images=images)
+        noisy_clf, _ = train_quality_classifier(noisy, seed=0)
+        assert len(steps_taken) == 2 * stopped_at
+        assert self.param_bytes(noisy_clf) == self.param_bytes(clf)
 
     def test_score_pair_classifier_outputs(self, nets, clf, tiny_dataset):
         scores = score_pair(nets, clf, tiny_dataset, 0, 1)
