@@ -196,22 +196,36 @@ def _cmd_interpolate(args) -> int:
     return EXIT_OK
 
 
+def _nets_fitting(ckpt, dataset, data_dir):
+    """The networks of checkpoint ``ckpt``, checked to take the dataset's images."""
+    from .errors import ConfigurationError
+    from .trainer import load_state
+
+    nets = load_state(ckpt)[0].nets
+    takes = (nets.encoder.in_channels, nets.encoder.image_size)
+    if takes != (dataset.channels, dataset.size):
+        raise ConfigurationError(
+            f"checkpoint {ckpt} takes {takes[0]}-channel {takes[1]}x{takes[1]}"
+            f" images, but dataset {data_dir} holds {dataset.channels}-channel"
+            f" {dataset.size}x{dataset.size} ones"
+        )
+    return nets
+
+
 def _cmd_eval(args) -> int:
     from .evaluation import build_report, train_quality_classifier, write_report
     from .networks import check_alpha
     from .synth import load_dataset
-    from .trainer import load_state
 
     check_alpha(args.alpha)
     dataset = load_dataset(args.data)
-    state, _ = load_state(args.ckpt)
+    nets = _nets_fitting(args.ckpt, dataset, args.data)
     ablation_nets = None
     if args.ablation is not None:
-        ablation_state, _ = load_state(args.ablation)
-        ablation_nets = ablation_state.nets
+        ablation_nets = _nets_fitting(args.ablation, dataset, args.data)
     classifier, accuracy = train_quality_classifier(dataset, seed=args.seed)
     report = build_report(
-        state.nets, dataset, classifier, accuracy, ablation_nets, alpha=args.alpha
+        nets, dataset, classifier, accuracy, ablation_nets, alpha=args.alpha
     )
     csv_path, txt_path = write_report(report, args.out)
     sys.stdout.write(report.to_text())

@@ -145,7 +145,7 @@ def parse_config_text(text: str) -> dict[str, str]:
 
 def load_config(path) -> TrainConfig:
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigurationError(f"cannot read config {path}: {exc}") from exc
     return TrainConfig.from_mapping(parse_config_text(text))

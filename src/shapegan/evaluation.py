@@ -21,8 +21,6 @@ from .seeds import derive_seed
 from .synth import Dataset
 from .trainer import NetBundle
 
-EVAL_ALPHAS = (0.25, 0.5, 0.75, 1.0)
-GRID_ALPHAS = (0.0,) + EVAL_ALPHAS
 MASK_THRESHOLD = 0.5
 # the quality classifier's early stop; see train_quality_classifier
 STOP_CHECK_EVERY = 25
@@ -69,11 +67,11 @@ def render_grid(
     nets: NetBundle,
     source: np.ndarray,
     target: np.ndarray,
-    alphas=GRID_ALPHAS,
+    alphas,
 ) -> np.ndarray:
     """Composite (C, N*S, (len(alphas)+2)*S) image: source | panels | target.
 
-    The first panel at alpha=0 is exactly the reconstruction of the source.
+    A panel at alpha=0 is exactly the reconstruction of the source.
     """
     source = np.asarray(source, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)

@@ -15,34 +15,20 @@ import numpy as np
 from .errors import DataError, UsageError
 
 _WHITESPACE = b" \t\r\n\x0b\x0c"
-
-
 _MAGIC = {3: b"P6", 1: b"P5"}
 
 
-def write_ppm(path, image: np.ndarray) -> None:
-    """Write a (3, H, W) float image as binary PPM (P6, maxval 255)."""
-    _write(path, image, 3)
-
-
-def write_pgm(path, mask: np.ndarray) -> None:
-    """Write a (1, H, W) float mask as binary PGM (P5, maxval 255)."""
-    _write(path, mask, 1)
-
-
-def _write(path, array, channels: int) -> None:
+def write_image(path, array: np.ndarray) -> None:
+    """Write a (3, H, W) image as PPM or a (1, H, W) mask as PGM, maxval 255."""
     array = np.asarray(array, dtype=np.float64)
-    if array.ndim != 3 or array.shape[0] != channels:
-        raise UsageError(
-            f"{_MAGIC[channels].decode()} writer expects ({channels}, H, W),"
-            f" got {array.shape}"
-        )
+    if array.ndim != 3 or array.shape[0] not in _MAGIC:
+        raise UsageError(f"write_image expects (1|3, H, W), got {array.shape}")
     if array.min() < 0.0 or array.max() > 1.0:
         raise UsageError("image values must lie in [0, 1] for writing")
-    _, h, w = array.shape
+    c, h, w = array.shape
     payload = np.rint(array * 255.0).astype(np.uint8).transpose(1, 2, 0).tobytes()
     with open(path, "wb") as f:
-        f.write(b"%s\n%d %d\n255\n" % (_MAGIC[channels], w, h))
+        f.write(b"%s\n%d %d\n255\n" % (_MAGIC[c], w, h))
         f.write(payload)
 
 
@@ -96,11 +82,12 @@ class _Parser:
         return np.frombuffer(data, dtype=np.uint8)
 
 
-def _read(path) -> tuple[bytes, np.ndarray]:
-    """The file's magic and its raster as a (C, H, W) float array in [0, 1]."""
+def read_image(path) -> np.ndarray:
+    """Read a binary PPM or PGM, by its magic, into a (3, H, W) or (1, H, W)
+    float array in [0, 1]."""
     try:
         buf = Path(path).read_bytes()
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
         raise DataError(f"cannot read {path}: {exc}") from exc
     p = _Parser(buf, path)
     magic = p.token()
@@ -116,34 +103,4 @@ def _read(path) -> tuple[bytes, np.ndarray]:
         p.error(f"unsupported maxval {maxval}")
     channels = 3 if magic == b"P6" else 1
     raw = p.payload(w * h * channels).reshape(h, w, channels)
-    return magic, raw.transpose(2, 0, 1).astype(np.float64) / 255.0
-
-
-def _read_as(path, magic: bytes) -> np.ndarray:
-    found, image = _read(path)
-    if found != magic:
-        raise DataError(f"{path}: expected {magic.decode()}, found {found.decode()}")
-    return image
-
-
-def read_ppm(path) -> np.ndarray:
-    """Read a binary PPM into a (3, H, W) float array in [0, 1]."""
-    return _read_as(path, b"P6")
-
-
-def read_pgm(path) -> np.ndarray:
-    """Read a binary PGM into a (1, H, W) float array in [0, 1]."""
-    return _read_as(path, b"P5")
-
-
-def read_image(path) -> np.ndarray:
-    """Dispatch on file magic: returns (3, H, W) or (1, H, W)."""
-    return _read(path)[1]
-
-
-def write_image(path, array: np.ndarray) -> None:
-    """Dispatch on channel count: 3 channels -> PPM, 1 channel -> PGM."""
-    array = np.asarray(array)
-    if array.ndim != 3 or array.shape[0] not in _MAGIC:
-        raise UsageError(f"write_image expects (1|3, H, W), got {array.shape}")
-    _write(path, array, array.shape[0])
+    return raw.transpose(2, 0, 1).astype(np.float64) / 255.0

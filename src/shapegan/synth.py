@@ -11,6 +11,7 @@ on the silhouette. Everything is a pure function of integer seeds.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -52,25 +53,6 @@ class ShapeSpec:
         for freq, amp, phase in self.harmonics:
             r = r + amp * np.sin(freq * theta + phase)
         return self.base_radius * r
-
-
-@dataclass(frozen=True)
-class DomainSpec:
-    """A domain identifier bound to one attribute renderer."""
-
-    domain_id: int
-    attribute: str
-
-    def __post_init__(self):
-        if self.attribute not in ATTRIBUTES:
-            raise ConfigurationError(
-                f"unknown attribute {self.attribute!r}; expected one of {ATTRIBUTES}"
-            )
-
-
-def default_domain(domain_id: int) -> DomainSpec:
-    """Default renderer assignment: cycle through the attribute families."""
-    return DomainSpec(domain_id, ATTRIBUTES[domain_id % len(ATTRIBUTES)])
 
 
 @dataclass(frozen=True)
@@ -161,21 +143,23 @@ _RENDERERS = {
 }
 
 
-def generate_sample(seed: int, domain: DomainSpec, size: int = 32) -> ImageSample:
+def generate_sample(seed: int, domain: int, size: int = 32) -> ImageSample:
     """Render one sample, fully determined by (seed, domain, size).
 
-    The silhouette and the attribute draws come from independent seed-derived
+    Domain d renders attribute ``ATTRIBUTES[d % len(ATTRIBUTES)]``. The
+    silhouette and the attribute draws come from independent seed-derived
     streams, and the silhouette's stream does not depend on the domain, so
     one seed gives the same silhouette in every domain.
     """
     shape_rng = np.random.Generator(np.random.PCG64(derive_seed(seed, 1)))
-    attr_rng = np.random.Generator(np.random.PCG64(derive_seed(seed, 2, domain.domain_id)))
+    attr_rng = np.random.Generator(np.random.PCG64(derive_seed(seed, 2, domain)))
     spec = sample_shape(shape_rng)
     dist, r_req = _polar_fields(spec, size)
     mask = rasterize_mask(spec, size)
-    fill = _RENDERERS[domain.attribute](attr_rng, mask[0], dist, r_req, size)
+    render = _RENDERERS[ATTRIBUTES[domain % len(ATTRIBUTES)]]
+    fill = render(attr_rng, mask[0], dist, r_req, size)
     image = np.where(mask > 0.5, fill, BACKGROUND[:, None, None])
-    return ImageSample(np.clip(image, 0.0, 1.0), mask, domain.domain_id, seed)
+    return ImageSample(np.clip(image, 0.0, 1.0), mask, domain, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -219,34 +203,26 @@ def build_dataset(
     (out / "images").mkdir(parents=True, exist_ok=True)
     (out / "masks").mkdir(parents=True, exist_ok=True)
 
+    # eval seeds do not depend on the domain: paired shapes
+    jobs = [("train", d, i, derive_seed(seed, 0, d, i))
+            for d in range(domains) for i in range(n_train)]
+    jobs += [("eval", d, i, derive_seed(seed, 1, 0, i))
+             for d in range(domains) for i in range(n_eval)]
     rows = []
-    for d in range(domains):
-        dom = default_domain(d)
-        for i in range(n_train):
-            s = derive_seed(seed, 0, d, i)
-            _write_sample(out, rows, f"train_d{d}_{i:04d}", dom, s, size, "train")
-    for d in range(domains):
-        dom = default_domain(d)
-        for i in range(n_eval):
-            s = derive_seed(seed, 1, 0, i)  # shared across domains: paired shapes
-            _write_sample(out, rows, f"eval_d{d}_{i:04d}", dom, s, size, "eval")
+    for split, d, i, s in jobs:
+        sample = generate_sample(s, d, size)
+        img_rel = f"images/{split}_d{d}_{i:04d}.ppm"
+        mask_rel = f"masks/{split}_d{d}_{i:04d}.pgm"
+        netpbm.write_image(out / img_rel, sample.image)
+        netpbm.write_image(out / mask_rel, sample.mask)
+        rows.append((img_rel, mask_rel, d, s, split))
 
     manifest = out / MANIFEST_NAME
-    with open(manifest, "w", newline="") as f:
+    with open(manifest, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)
         writer.writerow(_MANIFEST_FIELDS)
         writer.writerows(rows)
     return manifest
-
-
-def _write_sample(out: Path, rows: list, stem: str, dom: DomainSpec, s: int,
-                  size: int, split: str) -> None:
-    sample = generate_sample(s, dom, size)
-    img_rel = f"images/{stem}.ppm"
-    mask_rel = f"masks/{stem}.pgm"
-    netpbm.write_ppm(out / img_rel, sample.image)
-    netpbm.write_pgm(out / mask_rel, sample.mask)
-    rows.append((img_rel, mask_rel, dom.domain_id, s, split))
 
 
 @dataclass
@@ -289,42 +265,58 @@ def _hw(raster: np.ndarray) -> str:
 
 
 def load_dataset(data_dir) -> Dataset:
-    """Load a generated dataset from its manifest."""
+    """Load a generated dataset from its manifest. Malformed input raises
+    :class:`DataError` naming the manifest and, where known, the line."""
     root = Path(data_dir)
     manifest = root / MANIFEST_NAME
     if not manifest.is_file():
         raise DataError(f"no {MANIFEST_NAME} in {root}")
+    try:
+        text = manifest.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        raise DataError(f"{manifest}:{line}: not UTF-8 text") from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        rows = list(reader)
+    except csv.Error as exc:
+        raise DataError(f"{manifest}:{reader.line_num}: {exc}") from None
+    header = rows[0] if rows else None
+    if header is None or tuple(header) != _MANIFEST_FIELDS:
+        raise DataError(f"{manifest}: unexpected manifest header {header}")
     images, masks, domains, seeds, splits = [], [], [], [], []
-    with open(manifest, newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header is None or tuple(header) != _MANIFEST_FIELDS:
-            raise DataError(f"{manifest}: unexpected manifest header {header}")
-        for lineno, row in enumerate(reader, start=2):
-            line = f"{manifest}:{lineno}"
-            if len(row) != len(_MANIFEST_FIELDS):
-                raise DataError(f"{line}: malformed row {row}")
-            img_rel, mask_rel, dom, s, split = row
-            if split not in ("train", "eval"):
-                raise DataError(f"{line}: unknown split {split!r}")
-            try:
-                domains.append(int(dom))
-                seeds.append(int(s))
-            except ValueError:
-                raise DataError(
-                    f"{line}: domain and seed must be integers, got {dom!r}, {s!r}"
-                ) from None
-            image = netpbm.read_ppm(root / img_rel)
-            mask = netpbm.read_pgm(root / mask_rel)
-            size = images[0].shape[-1] if images else image.shape[-1]
-            if image.shape[1:] != (size, size) or mask.shape[1:] != (size, size):
-                raise DataError(
-                    f"{line}: image {img_rel} is {_hw(image)} and mask {mask_rel}"
-                    f" is {_hw(mask)}; every image and mask must be {size}x{size}"
-                )
-            images.append(image)
-            masks.append(mask)
-            splits.append(split)
+    for lineno, row in enumerate(rows[1:], start=2):
+        line = f"{manifest}:{lineno}"
+        if len(row) != len(_MANIFEST_FIELDS):
+            raise DataError(f"{line}: malformed row {row}")
+        img_rel, mask_rel, dom, s, split = row
+        if split not in ("train", "eval"):
+            raise DataError(f"{line}: unknown split {split!r}")
+        try:
+            domains.append(np.int64(int(dom)))
+            seeds.append(np.int64(int(s)))
+        except (ValueError, OverflowError):
+            raise DataError(
+                f"{line}: domain and seed must be integers in the int64 range,"
+                f" got {dom!r}, {s!r}"
+            ) from None
+        try:
+            image = netpbm.read_image(root / img_rel)
+            mask = netpbm.read_image(root / mask_rel)
+        except DataError as exc:
+            raise DataError(f"{line}: {exc}") from None
+        if image.shape[0] != 3 or mask.shape[0] != 1:
+            raise DataError(f"{line}: image {img_rel} must be a PPM and mask"
+                            f" {mask_rel} a PGM")
+        size = images[0].shape[-1] if images else image.shape[-1]
+        if image.shape[1:] != (size, size) or mask.shape[1:] != (size, size):
+            raise DataError(
+                f"{line}: image {img_rel} is {_hw(image)} and mask {mask_rel}"
+                f" is {_hw(mask)}; every image and mask must be {size}x{size}"
+            )
+        images.append(image)
+        masks.append(mask)
+        splits.append(split)
     if not images:
         raise DataError(f"{manifest}: empty manifest")
     return Dataset(

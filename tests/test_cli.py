@@ -178,11 +178,49 @@ class TestTrain:
         data = tmp_path / "data"
         shutil.copytree(workspace["data"], data)
         second = (data / "manifest.csv").read_text().splitlines()[2].split(",")[0]
-        netpbm.write_ppm(data / second, np.zeros((3, 16, 16)))
+        netpbm.write_image(data / second, np.zeros((3, 16, 16)))
         r = run_cli("train", "--data", str(data), "--out", str(tmp_path / "out"))
         assert r.returncode == 3, r.stderr
         assert "Traceback" not in r.stderr
         assert "every image and mask must be 32x32" in r.stderr
+
+    @pytest.mark.parametrize("damage", [
+        "non-utf-8 byte", "nul in path", "seed beyond int64", "field over csv limit",
+        "pgm in image column", "ppm in mask column",
+    ])
+    def test_damaged_manifest_exits_3(self, workspace, tmp_path, damage):
+        data = tmp_path / "data"
+        shutil.copytree(workspace["data"], data)
+        manifest = data / "manifest.csv"
+        lines = manifest.read_bytes().split(b"\n")
+        img, mask, dom, seed, split = lines[2].split(b",")
+        if damage == "non-utf-8 byte":
+            split = b"tr\xffin"
+        elif damage == "nul in path":
+            img = img.replace(b"/", b"/\0")
+        elif damage == "seed beyond int64":
+            seed = b"%d" % 2**63
+        elif damage == "field over csv limit":
+            split = b"x" * 131073
+        elif damage == "pgm in image column":
+            img = mask
+        elif damage == "ppm in mask column":
+            mask = img
+        lines[2] = b",".join((img, mask, dom, seed, split))
+        manifest.write_bytes(b"\n".join(lines))
+        r = run_cli("train", "--data", str(data), "--out", str(tmp_path / "out"))
+        assert r.returncode == 3, r.stderr
+        assert "Traceback" not in r.stderr
+        assert "manifest.csv:3: " in r.stderr
+
+    def test_config_not_utf8_exits_2(self, workspace, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"# r\xe9glage\nbatch_size = 2\n")
+        r = run_cli("train", "--data", str(workspace["data"]),
+                    "--out", str(tmp_path / "out"), "--config", str(cfg))
+        assert r.returncode == 2, r.stderr
+        assert "Traceback" not in r.stderr
+        assert "cannot read config" in r.stderr
 
     def test_config_file_with_override(self, workspace, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -206,7 +244,7 @@ class TestInterpolate:
                     "--out", str(out))
         assert r.returncode == 0, r.stderr
         assert "six" in r.stdout or "6-panel" in r.stdout
-        grid = netpbm.read_ppm(out)
+        grid = netpbm.read_image(out)
         assert grid.shape == (3, 32, 6 * 32)
 
     def test_alpha_zero_gives_three_panels(self, workspace, tmp_path):
@@ -216,7 +254,7 @@ class TestInterpolate:
                     "--target", str(workspace["data"] / "images" / "train_d1_0000.ppm"),
                     "--alphas", "0", "--out", str(out))
         assert r.returncode == 0, r.stderr
-        assert netpbm.read_ppm(out).shape == (3, 32, 3 * 32)
+        assert netpbm.read_image(out).shape == (3, 32, 3 * 32)
 
     def test_malformed_alpha_list_exits_2(self, workspace, tmp_path):
         r = run_cli("interpolate", "--ckpt", str(workspace["trained_ckpt"]),
@@ -244,9 +282,9 @@ class TestInterpolate:
                     "--source", str(src_path), "--target", str(tgt_path),
                     "--alphas", "1", "--out", str(out))
         assert r.returncode == 0, r.stderr
-        grid = netpbm.read_ppm(out)
-        src = netpbm.read_ppm(src_path)
-        tgt = netpbm.read_ppm(tgt_path)
+        grid = netpbm.read_image(out)
+        src = netpbm.read_image(src_path)
+        tgt = netpbm.read_image(tgt_path)
         assert np.array_equal(grid[:, :, :32], src)
         assert np.array_equal(grid[:, :, -32:], tgt)
 
@@ -320,6 +358,38 @@ class TestEval:
                 "--data", str(data), "--out", str(out)]
         assert cli.main(argv) == 2
         assert "no eval split" in capsys.readouterr().err
+        assert not out.exists()
+
+
+    def test_dataset_not_fitting_checkpoint_exits_2_before_training(
+            self, workspace, tmp_path, monkeypatch, capsys):
+        # in-process, with the classifier stubbed to fail
+        import shapegan.evaluation
+
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("the classifier trained before the check")
+
+        monkeypatch.setattr(shapegan.evaluation, "train_quality_classifier",
+                            must_not_run)
+        # main() sets the BLAS thread variables; keep them scoped to the test
+        for var in cli._THREAD_VARS:
+            monkeypatch.setenv(var, os.environ.get(var, "1"))
+        data = tmp_path / "small"
+        assert cli.main(["gen-data", "--out", str(data), "--n-per-domain", "6",
+                         "--size", "16"]) == 0
+        assert cli.main(["train", "--data", str(data), "--out", str(tmp_path / "t16"),
+                         "--set", "image_size=16", "--set", "max_iterations=0",
+                         "--set", "unet_pretrain_iters=0", "--set", "batch_size=2"]) == 0
+        fits, wrong = tmp_path / "t16" / "final.sgck", workspace["init_ckpt"]
+        out = tmp_path / "report.csv"
+        # the full model does not fit; then only the ablation does not
+        for argv in (["eval", "--ckpt", str(wrong)],
+                     ["report", "--ckpt", str(fits), "--ablation", str(wrong)]):
+            capsys.readouterr()
+            assert cli.main([*argv, "--data", str(data), "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert f"checkpoint {wrong} takes 3-channel 32x32 images" in err
+            assert f"dataset {data} holds 3-channel 16x16" in err
         assert not out.exists()
 
 

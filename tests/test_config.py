@@ -126,3 +126,10 @@ def test_load_config_file(tmp_path):
 def test_load_config_missing_file(tmp_path):
     with pytest.raises(ConfigurationError, match="cannot read config"):
         load_config(tmp_path / "absent.cfg")
+
+
+def test_load_config_not_utf8(tmp_path):
+    path = tmp_path / "latin1.cfg"
+    path.write_bytes("# réglage\nbatch_size = 4\n".encode("latin-1"))
+    with pytest.raises(ConfigurationError, match="cannot read config"):
+        load_config(path)

@@ -9,8 +9,6 @@ from shapegan import autodiff as ad
 from shapegan.autodiff import backward, no_grad, variable
 from shapegan.errors import ConfigurationError, UsageError
 from shapegan.evaluation import (
-    EVAL_ALPHAS,
-    GRID_ALPHAS,
     EvalReport,
     PairScores,
     SmallClassifier,
@@ -106,12 +104,15 @@ class TestTranslateBatch:
         assert set(np.unique(pred)) <= {0.0, 1.0}
 
 
+GRID_ALPHAS = (0.0, 0.25, 0.5, 0.75, 1.0)
+
+
 class TestRenderGrid:
     def test_geometry_and_border_columns(self, nets, tiny_dataset):
         src = tiny_dataset.images[tiny_dataset.eval_indices(0)]
         tgt = tiny_dataset.images[tiny_dataset.eval_indices(1)]
         n, c, s, _ = src.shape
-        grid = render_grid(nets, src, tgt)
+        grid = render_grid(nets, src, tgt, GRID_ALPHAS)
         cols = len(GRID_ALPHAS) + 2
         assert grid.shape == (c, n * s, cols * s)
         for row in range(n):
@@ -123,7 +124,7 @@ class TestRenderGrid:
         src = tiny_dataset.images[tiny_dataset.eval_indices(0)[:1]]
         tgt = tiny_dataset.images[tiny_dataset.eval_indices(1)[:1]]
         s = src.shape[-1]
-        grid = render_grid(nets, src, tgt)
+        grid = render_grid(nets, src, tgt, GRID_ALPHAS)
         panel = grid[:, :s, s : 2 * s]
         with no_grad():
             recon = nets.decoder(nets.encoder(ad.as_tensor(src))).data[0]
@@ -139,9 +140,9 @@ class TestRenderGrid:
     def test_rejects_mismatched_batches(self, nets, tiny_dataset):
         src = tiny_dataset.images[:2]
         with pytest.raises(UsageError, match="equal"):
-            render_grid(nets, src, src[:1])
+            render_grid(nets, src, src[:1], GRID_ALPHAS)
         with pytest.raises(UsageError):
-            render_grid(nets, src[0], src[0])  # missing batch axis
+            render_grid(nets, src[0], src[0], GRID_ALPHAS)  # missing batch axis
 
 
 class TestShapeScores:
@@ -437,8 +438,3 @@ class TestReport:
         cells = report.to_csv().splitlines()[2].split(",")
         assert cells[2] == "translated no-shape"
         assert "-" not in cells[3:7] and cells[7] == "-"
-
-
-def test_eval_alpha_grids():
-    assert EVAL_ALPHAS == (0.25, 0.5, 0.75, 1.0)
-    assert GRID_ALPHAS == (0.0,) + EVAL_ALPHAS
